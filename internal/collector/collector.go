@@ -9,14 +9,15 @@
 // one cheap reader goroutine per node link feeds a small per-node drop-oldest
 // payload ring, and a fixed pool of workers decodes payloads into each node's
 // retained contribution — route keys resolved to dense fleet-global slots
-// (core.KeySlots) so the binary-codec steady state allocates nothing per
-// frame. Rollup is sharded: S shard workers sweep their subset of nodes into
-// epoch-reset accumulators (core.SparseSet) and the driver merges them into a
-// pooled, refcounted FleetReport whose maps are cleared, never reallocated —
-// steady-state allocations per fleet round depend on the shard count, not on
-// how many nodes or targets the fleet carries. A slow or silent node never
-// stalls a round: its last contribution is used until it goes stale
-// (Config.StaleAfter), then it is skipped and accounted as such.
+// (each row first checked, lock-free, against the slot its position held in
+// the node's last frame) so the binary-codec steady state allocates nothing
+// per frame. Rollup is sharded: S shard workers sweep their subset of nodes
+// into epoch-reset accumulators (core.SparseSet) and the driver merges them
+// into a pooled, refcounted FleetReport whose maps are cleared, never
+// reallocated — steady-state allocations per fleet round depend on the shard
+// count, not on how many nodes or targets the fleet carries. A slow or silent
+// node never stalls a round: its last contribution is used until it goes
+// stale (Config.StaleAfter), then it is skipped and accounted as such.
 package collector
 
 import (
@@ -30,7 +31,6 @@ import (
 	"powerapi/internal/core"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
-	"powerapi/internal/target"
 	"powerapi/internal/vmbridge"
 )
 
@@ -332,7 +332,7 @@ func (c *Collector) Stats() Stats {
 		LiveNodes:     int(c.lastLive.Load()),
 		StaleNodes:    int(c.lastStale.Load()),
 		TotalWatts:    loadFloat(&c.lastTotal),
-		Keys:          c.keys.len(),
+		Keys:          len(c.keys.load()),
 		Subscriptions: c.subs.stats(),
 		EventsDropped: c.journal.Dropped(),
 	}
@@ -424,7 +424,3 @@ func (c *Collector) closed() bool {
 		return false
 	}
 }
-
-// fleetTarget resolves a route-key slot to the target recorded in fleet
-// history.
-func (c *Collector) fleetTarget(slot int32) target.Target { return c.keys.target(slot) }

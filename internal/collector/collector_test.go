@@ -298,46 +298,64 @@ func TestPassiveFeed(t *testing.T) {
 
 // TestIngestAllocationFlat drives the binary ingest path directly and asserts
 // the steady state allocates nothing per payload: keys interned, buffers
-// ping-ponging, map probes on byte slices.
+// ping-ponging, and each row key checked in place against the slot its
+// position held in the node's last frame. The rotated variant shifts the rows
+// every payload, so every positional check misses and every row takes the
+// table lookup instead — that fallback must be allocation-free too.
 func TestIngestAllocationFlat(t *testing.T) {
-	c, err := New(Config{Codec: vmbridge.CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	n := &nodeConn{addr: "direct"}
+	for _, rotate := range []bool{false, true} {
+		t.Run(map[bool]string{false: "stable", true: "rotated"}[rotate], func(t *testing.T) {
+			c, err := New(Config{Codec: vmbridge.CodecBinary})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			n := &nodeConn{addr: "direct"}
 
-	const rows = 256
-	frame := nodeFrame("bench-node", 0, 100, make([]vmbridge.TargetRow, rows))
-	for i := range frame.Rows {
-		frame.Rows[i] = vmbridge.TargetRow{Key: fmt.Sprintf("cgroup:svc-%03d", i), Watts: 100.0 / rows}
-	}
-	batch := []vmbridge.VMPowerFrame{frame}
-	var scratch []byte
-	var seq uint64
-	ingestOnce := func() {
-		seq++
-		batch[0].Seq = seq
-		// Provenance-stamped version-2 frames: the steady-state claim must
-		// hold with the new fields decoded and the offset tracking live.
-		batch[0].EmitMono = time.Duration(seq) * time.Millisecond
-		batch[0].Round = seq
-		batch[0].TraceID = vmbridge.FrameTraceID("bench-node", seq)
-		scratch = vmbridge.AppendBinaryBatchVersion(scratch[:0], batch, vmbridge.BinaryVersionProvenance)
-		// Skip magic + length: the wire framing ReadBinaryMessageVersion strips.
-		c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:], vmbridge.BinaryVersionProvenance)
-	}
-	for i := 0; i < 10; i++ {
-		ingestOnce() // warm: intern keys, grow buffers
-	}
-	avg := testing.AllocsPerRun(200, ingestOnce)
-	if avg > 0.5 {
-		t.Fatalf("binary ingest allocates %.2f allocs/payload in steady state, want 0", avg)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.lastSeq != seq || len(n.slots) != rows {
-		t.Fatalf("ingest state: lastSeq=%d (want %d), %d slots (want %d)", n.lastSeq, seq, len(n.slots), rows)
+			const rows = 256
+			frame := nodeFrame("bench-node", 0, 100, make([]vmbridge.TargetRow, rows))
+			for i := range frame.Rows {
+				frame.Rows[i] = vmbridge.TargetRow{Key: fmt.Sprintf("cgroup:svc-%03d", i), Watts: 100.0 / rows}
+			}
+			batch := []vmbridge.VMPowerFrame{frame}
+			var scratch []byte
+			var seq uint64
+			ingestOnce := func() {
+				seq++
+				batch[0].Seq = seq
+				if rotate {
+					first := frame.Rows[0]
+					copy(frame.Rows, frame.Rows[1:])
+					frame.Rows[rows-1] = first
+				}
+				// Provenance-stamped version-2 frames: the steady-state claim must
+				// hold with the new fields decoded and the offset tracking live.
+				batch[0].EmitMono = time.Duration(seq) * time.Millisecond
+				batch[0].Round = seq
+				batch[0].TraceID = vmbridge.FrameTraceID("bench-node", seq)
+				scratch = vmbridge.AppendBinaryBatchVersion(scratch[:0], batch, vmbridge.BinaryVersionProvenance)
+				// Skip magic + length: the wire framing ReadBinaryMessageVersion strips.
+				c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:], vmbridge.BinaryVersionProvenance)
+			}
+			for i := 0; i < 10; i++ {
+				ingestOnce() // warm: intern keys, grow buffers
+			}
+			avg := testing.AllocsPerRun(200, ingestOnce)
+			if avg > 0.5 {
+				t.Fatalf("binary ingest allocates %.2f allocs/payload in steady state, want 0", avg)
+			}
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if n.lastSeq != seq || len(n.slots) != rows {
+				t.Fatalf("ingest state: lastSeq=%d (want %d), %d slots (want %d)", n.lastSeq, seq, len(n.slots), rows)
+			}
+			view := c.keys.load()
+			for i, row := range frame.Rows {
+				if got := view[n.slots[i]].key; got != row.Key {
+					t.Fatalf("row %d resolved to %q, want %q", i, got, row.Key)
+				}
+			}
+		})
 	}
 }
 

@@ -112,16 +112,19 @@ type nodeConn struct {
 
 	// Decode scratch, guarded by drainMu (one worker drains a node at a
 	// time). building ping-pongs with the retained slices at commit, so the
-	// steady state allocates neither. frameCB/rowCB are the decode callbacks,
+	// steady state allocates neither. keys is the key-table view the payload
+	// under decode resolves against. frameCB/rowCB are the decode callbacks,
 	// built once on the node's first binary payload and reused for every
 	// later message so the per-message ingest path stays allocation-free.
 	drainMu  sync.Mutex
 	building rowBuf
 	pending  pendingFrame
+	keys     []keyEntry
 	frameCB  func(h vmbridge.FrameHeader) bool
 	rowCB    func(key []byte, watts float64)
 
-	// Retained contribution, guarded by mu; the rollup reads it.
+	// Retained contribution, guarded by mu; the rollup reads it. Only the
+	// drainMu holder writes it, so ingest may read slots without mu.
 	mu       sync.Mutex
 	name     string
 	source   string
@@ -380,7 +383,7 @@ func (c *Collector) ingest(n *nodeConn, payload []byte, wire int) {
 }
 
 // ingestBinary folds a binary batch allocation-free: row keys resolve to
-// fleet-global slots through the byte-keyed lookup, rows append into the
+// fleet-global slots (keyTable.resolve), rows append into the
 // node's reusable building buffers (accumulating the top-level-row sum the
 // conservation contract checks), and commit swaps them into place. wire is
 // the message's declared version — provenance stamps land on version 2,
@@ -390,6 +393,7 @@ func (c *Collector) ingest(n *nodeConn, payload []byte, wire int) {
 func (c *Collector) ingestBinary(n *nodeConn, payload []byte, wire int) {
 	n.pending.valid = false
 	n.building.reset()
+	n.keys = c.keys.load()
 	if n.frameCB == nil {
 		//powerapi:allow hotpath closures built once per node on first payload, reused for every later message
 		n.frameCB = func(h vmbridge.FrameHeader) bool {
@@ -402,7 +406,7 @@ func (c *Collector) ingestBinary(n *nodeConn, payload []byte, wire int) {
 		}
 		//powerapi:allow hotpath closures built once per node on first payload, reused for every later message
 		n.rowCB = func(key []byte, watts float64) {
-			slot, top := c.keys.slotBytesTop(key)
+			slot, top := c.keys.resolve(&n.keys, n.slots, len(n.building.slots), key)
 			n.building.slots = append(n.building.slots, slot)
 			n.building.watts = append(n.building.watts, watts)
 			n.building.note(top, watts)
@@ -429,8 +433,9 @@ func (c *Collector) ingestJSON(n *nodeConn, payload []byte) {
 		return
 	}
 	n.building.reset()
-	for _, row := range frame.Rows {
-		slot, top := c.keys.slotTop(row.Key)
+	view := c.keys.load()
+	for i, row := range frame.Rows {
+		slot, top := c.keys.resolve(&view, n.slots, i, []byte(row.Key))
 		n.building.slots = append(n.building.slots, slot)
 		n.building.watts = append(n.building.watts, row.Watts)
 		n.building.note(top, row.Watts)
@@ -539,92 +544,68 @@ const maxSaneRowWatts = 1e9
 // with a parsed target per slot for history recording and a top-level flag
 // per slot for the conservation contract (only rows like "cgroup:x" — no
 // nested path — sum against the node total; "cgroup:x/y" double-counts its
-// parent by design). Reads take the shared lock and allocate nothing; only a
-// never-seen key takes the exclusive lock.
+// parent by design). Readers load the published view — one append-only
+// slice of entries indexed by slot — without any lock; slots are never
+// recycled, so an entry once published never changes. Lookups that miss the
+// view serialise on mu and resolve through the KeySlots map; assigning a
+// never-seen key publishes a grown view.
 type keyTable struct {
-	mu       sync.RWMutex
-	ks       core.KeySlots
-	targets  []target.Target
-	topLevel []bool
+	mu   sync.Mutex
+	ks   core.KeySlots
+	view atomic.Pointer[[]keyEntry]
 }
 
-//powerapi:hotpath
-func (t *keyTable) slotBytes(key []byte) int32 {
-	t.mu.RLock()
-	s, ok := t.ks.LookupBytes(key)
-	t.mu.RUnlock()
-	if ok {
-		return s
+// keyEntry is one slot's key and what the collector derives from it.
+type keyEntry struct {
+	key    string
+	top    bool
+	target target.Target
+}
+
+// load returns the current view: every slot assigned so far.
+func (t *keyTable) load() []keyEntry {
+	if v := t.view.Load(); v != nil {
+		return *v
 	}
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
-	return t.assign(string(key))
+	return nil
 }
 
-//powerapi:hotpath
-func (t *keyTable) slot(key string) int32 {
-	t.mu.RLock()
-	s, ok := t.ks.Lookup(key)
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the lookup
-	return t.assign(key)
-}
-
-// slotBytesTop is slotBytes plus the slot's top-level flag, resolved under
-// the same shared-lock acquisition so the ingest row callback pays one lock
-// round-trip per row, not two.
+// resolve returns the slot and top-level flag of the key at row i of a node's
+// frame. Nodes resend the same keys in the same order every round, so the
+// first guess is the slot row i resolved to in the node's last committed
+// frame, accepted only when that slot's key equals the row's key bytes —
+// lock-free against the caller's view. A miss looks the key up in the table,
+// assigning it a slot if it is new, and refreshes the caller's view.
 //
 //powerapi:hotpath
-func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
-	t.mu.RLock()
-	s, ok := t.ks.LookupBytes(key)
-	if ok {
-		top := t.topLevel[s]
-		t.mu.RUnlock()
-		return s, top
-	}
-	t.mu.RUnlock()
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
-	s = t.assign(string(key))
-	return s, t.top(s)
-}
-
-//powerapi:hotpath
-func (t *keyTable) slotTop(key string) (int32, bool) {
-	t.mu.RLock()
-	s, ok := t.ks.Lookup(key)
-	if ok {
-		top := t.topLevel[s]
-		t.mu.RUnlock()
-		return s, top
-	}
-	t.mu.RUnlock()
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the lookup
-	s = t.assign(key)
-	return s, t.top(s)
-}
-
-func (t *keyTable) top(slot int32) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.topLevel[slot]
-}
-
-func (t *keyTable) assign(key string) int32 {
-	t.mu.Lock()
-	s := t.ks.Assign(key)
-	for len(t.targets) < t.ks.Len() {
-		k := t.ks.Key(int32(len(t.targets)))
-		tg, err := target.Parse(k)
-		if err != nil {
-			tg = target.Target{}
+func (t *keyTable) resolve(view *[]keyEntry, last []int32, i int, key []byte) (int32, bool) {
+	if i < len(last) {
+		if s, v := last[i], *view; int(s) < len(v) && v[s].key == string(key) { // comparison converts without allocating
+			return s, v[s].top
 		}
-		t.targets = append(t.targets, tg)
-		t.topLevel = append(t.topLevel, isTopLevelKey(k))
 	}
+	t.mu.Lock()
+	s, ok := t.ks.LookupBytes(key)
+	if !ok {
+		//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the view
+		s = t.assign(string(key))
+	}
+	*view = t.load()
 	t.mu.Unlock()
+	return s, (*view)[s].top
+}
+
+// assign interns a never-seen key and publishes the grown view. Caller holds
+// mu. The append writes past every published view's length, so readers of
+// an older view never see the new entry change under them.
+func (t *keyTable) assign(key string) int32 {
+	s := t.ks.Assign(key)
+	tg, err := target.Parse(key)
+	if err != nil {
+		tg = target.Target{}
+	}
+	v := append(t.load(), keyEntry{key: key, top: isTopLevelKey(key), target: tg})
+	t.view.Store(&v)
 	return s
 }
 
@@ -634,22 +615,4 @@ func (t *keyTable) assign(key string) int32 {
 func isTopLevelKey(key string) bool {
 	const p = "cgroup:"
 	return strings.HasPrefix(key, p) && !strings.Contains(key[len(p):], "/")
-}
-
-func (t *keyTable) key(slot int32) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ks.Key(slot)
-}
-
-func (t *keyTable) target(slot int32) target.Target {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.targets[slot]
-}
-
-func (t *keyTable) len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ks.Len()
 }

@@ -226,7 +226,7 @@ func (c *Collector) Rollup() *FleetReport {
 	}
 	// Merge the shard accumulators into one dedup set first — a route key
 	// reported by nodes in different shards must land as one figure — then
-	// materialise the map under one read lock on the key table, so the
+	// materialise the map from one load of the key-table view, so the
 	// per-slot key lookups are plain slice reads.
 	c.merged.Reset()
 	for _, sh := range c.shards {
@@ -234,11 +234,10 @@ func (c *Collector) Rollup() *FleetReport {
 			c.merged.Add(slot, sh.set.Value(slot))
 		}
 	}
-	c.keys.mu.RLock()
+	keys := c.keys.load()
 	for _, slot := range c.merged.Touched() {
-		p.perTarget[c.keys.ks.Key(slot)] = c.merged.Value(slot)
+		p.perTarget[keys[slot].key] = c.merged.Value(slot)
 	}
-	c.keys.mu.RUnlock()
 	if c.self != nil {
 		c.self.Sample()
 		rep.SelfWatts = c.self.Watts()
@@ -271,13 +270,12 @@ func (c *Collector) recordHistory(rep *FleetReport) {
 	for name, w := range rep.PerNode {
 		c.samples = append(c.samples, history.TargetSample{Target: target.Node(name), Watts: w})
 	}
-	c.keys.mu.RLock()
+	keys := c.keys.load()
 	for _, slot := range c.merged.Touched() {
-		if tg := c.keys.targets[slot]; tg.Valid() {
+		if tg := keys[slot].target; tg.Valid() {
 			c.samples = append(c.samples, history.TargetSample{Target: tg, Watts: c.merged.Value(slot)})
 		}
 	}
-	c.keys.mu.RUnlock()
 	c.hist.RecordBatch(rep.Timestamp, c.samples)
 	c.tracer.Record(rep.Timestamp, obs.StageHistory, 0, start, c.tracer.Now())
 }

@@ -14,18 +14,8 @@ type KeySlots struct {
 	keys  []string
 }
 
-// AssignBytes returns the slot of the key, assigning the next free slot the
-// first time the key is seen. Steady state (key already assigned) performs no
-// allocation: the byte-slice map probe is free, and the byte slice is only
-// copied into a string on first sight.
-func (k *KeySlots) AssignBytes(key []byte) int32 {
-	if slot, ok := k.slots[string(key)]; ok {
-		return slot
-	}
-	return k.assign(string(key))
-}
-
-// Assign is AssignBytes for callers that already hold a string.
+// Assign returns the slot of the key, assigning the next free slot the first
+// time the key is seen.
 func (k *KeySlots) Assign(key string) int32 {
 	if slot, ok := k.slots[key]; ok {
 		return slot
