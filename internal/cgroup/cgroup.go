@@ -39,9 +39,23 @@ type Hierarchy struct {
 	mu     sync.RWMutex
 	groups map[string]*group
 	leaf   map[int]string // pid → the one group that directly holds it
-	// adds counts the Add calls that placed a PID, so a caller can tell
-	// whether a PID may have joined since it last pruned.
-	adds uint64
+	// gen counts the changes to membership or shape: a new group, a Delete,
+	// an Add that places or moves a PID, a Leave and a Prune that removed
+	// something. Between two equal readings the hierarchy is unchanged.
+	gen uint64
+	// snap is the read view built at generation snap.gen; Snapshot rebuilds
+	// it on the first read after gen moves.
+	snap *Snapshot
+}
+
+// Snapshot is a read-only view of a hierarchy at one generation: every group
+// path, sorted, and each path's recursive members, sorted. The monitoring
+// round reads it in place of walking the tree; its slices are shared by
+// every reader and must not be modified.
+type Snapshot struct {
+	gen     uint64
+	paths   []string
+	members map[string][]int // path → recursive members; absent when none
 }
 
 // NewHierarchy creates an empty hierarchy.
@@ -112,6 +126,7 @@ func (h *Hierarchy) create(path string) *group {
 	}
 	g := &group{path: path, children: make(map[string]*group), members: make(map[int]bool)}
 	h.groups[path] = g
+	h.gen++
 	if anc := Ancestors(path); len(anc) > 0 {
 		parent := h.create(anc[len(anc)-1])
 		parent.children[path] = g
@@ -135,6 +150,7 @@ func (h *Hierarchy) Delete(path string) error {
 		return fmt.Errorf("cgroup: group %q still has member processes", path)
 	}
 	delete(h.groups, path)
+	h.gen++
 	if anc := Ancestors(path); len(anc) > 0 {
 		if parent, ok := h.groups[anc[len(anc)-1]]; ok {
 			delete(parent.children, path)
@@ -171,17 +187,17 @@ func (h *Hierarchy) Add(path string, pid int) error {
 	}
 	h.create(path).members[pid] = true
 	h.leaf[pid] = path
-	h.adds++
+	h.gen++
 	return nil
 }
 
-// Adds returns how many Add calls have placed a PID so far. Between two equal
-// readings no PID joined the hierarchy, so a Prune whose alive answers have
-// not changed either would remove nothing.
-func (h *Hierarchy) Adds() uint64 {
+// Generation returns the hierarchy's change count. Between two equal readings
+// no group was created or deleted and no PID joined, moved or left, so a
+// Prune whose alive answers have not changed either would remove nothing.
+func (h *Hierarchy) Generation() uint64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.adds
+	return h.gen
 }
 
 // Leave removes a PID from the hierarchy entirely.
@@ -194,6 +210,7 @@ func (h *Hierarchy) Leave(pid int) error {
 	}
 	delete(h.groups[path].members, pid)
 	delete(h.leaf, pid)
+	h.gen++
 	return nil
 }
 
@@ -222,44 +239,90 @@ func (h *Hierarchy) Members(path string) []int {
 }
 
 // MembersRecursive returns the PIDs of a group's whole subtree, sorted — the
-// membership a container runtime reports for a slice.
+// membership a container runtime reports for a slice. The slice is the
+// caller's copy.
 func (h *Hierarchy) MembersRecursive(path string) []int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	g, ok := h.groups[path]
-	if !ok {
-		return nil
-	}
-	var out []int
-	var walk func(*group)
-	walk = func(g *group) {
-		for pid := range g.members {
-			out = append(out, pid)
-		}
-		for _, child := range g.children {
-			walk(child)
-		}
-	}
-	walk(g)
-	sort.Ints(out)
-	return out
+	return append([]int(nil), h.Snapshot().Recursive(path)...)
 }
 
 // Paths returns every group path, sorted; parents precede their children.
 func (h *Hierarchy) Paths() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]string, 0, len(h.groups))
-	for path := range h.groups {
-		out = append(out, path)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), h.Snapshot().Paths()...)
 }
+
+// Snapshot returns the read view of the hierarchy's current generation,
+// building it if a change was made since the last call. Rounds without a
+// change share one view.
+//
+//powerapi:hotpath
+func (h *Hierarchy) Snapshot() *Snapshot {
+	h.mu.RLock()
+	snap := h.snap
+	gen := h.gen
+	h.mu.RUnlock()
+	if snap != nil && snap.gen == gen {
+		return snap
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.snap == nil || h.snap.gen != h.gen {
+		//powerapi:allow hotpath rebuilt once per hierarchy change, not per round
+		h.snap = h.buildSnapshotLocked()
+	}
+	return h.snap
+}
+
+// buildSnapshotLocked computes the read view of the current generation. A
+// child's path sorts after its parent's (the parent is a prefix), so walking
+// the sorted paths backwards finishes every child before its parent, whose
+// recursive members are its own plus its children's. Callers hold h.mu for
+// writing.
+func (h *Hierarchy) buildSnapshotLocked() *Snapshot {
+	snap := &Snapshot{
+		gen:     h.gen,
+		paths:   make([]string, 0, len(h.groups)),
+		members: make(map[string][]int, len(h.groups)),
+	}
+	for path := range h.groups {
+		snap.paths = append(snap.paths, path)
+	}
+	sort.Strings(snap.paths)
+	for i := len(snap.paths) - 1; i >= 0; i-- {
+		g := h.groups[snap.paths[i]]
+		n := len(g.members)
+		for child := range g.children {
+			n += len(snap.members[child])
+		}
+		if n == 0 {
+			continue
+		}
+		all := make([]int, 0, n)
+		for pid := range g.members {
+			all = append(all, pid)
+		}
+		for child := range g.children {
+			all = append(all, snap.members[child]...)
+		}
+		sort.Ints(all)
+		snap.members[g.path] = all
+	}
+	return snap
+}
+
+// Paths returns every group path, sorted; parents precede their children.
+// The slice is shared and must not be modified.
+func (s *Snapshot) Paths() []string { return s.paths }
+
+// Recursive returns the recursive members of a group, sorted, or nil when the
+// group does not exist or has none. The slice is shared and must not be
+// modified.
+//
+//powerapi:hotpath
+func (s *Snapshot) Recursive(path string) []int { return s.members[path] }
 
 // Targets returns one cgroup target per group, in Paths order.
 func (h *Hierarchy) Targets() []target.Target {
-	paths := h.Paths()
+	paths := h.Snapshot().Paths()
 	out := make([]target.Target, 0, len(paths))
 	for _, path := range paths {
 		out = append(out, target.Cgroup(path))
@@ -289,6 +352,9 @@ func (h *Hierarchy) Prune(alive func(pid int) bool) []int {
 		delete(h.groups[path].members, pid)
 		delete(h.leaf, pid)
 		removed = append(removed, pid)
+	}
+	if len(removed) > 0 {
+		h.gen++
 	}
 	sort.Ints(removed)
 	return removed

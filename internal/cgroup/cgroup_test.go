@@ -56,6 +56,7 @@ func TestAddMovesBetweenLeaves(t *testing.T) {
 	if err := h.Add("web", 1); err != nil {
 		t.Fatal(err)
 	}
+	placed := h.Generation()
 	if err := h.Add("web", 1); err != nil {
 		t.Fatalf("re-adding to the same group should be idempotent: %v", err)
 	}
@@ -63,8 +64,15 @@ func TestAddMovesBetweenLeaves(t *testing.T) {
 		t.Fatalf("LeafOf(1) = %q, %v", leaf, ok)
 	}
 	// The cgroup-v2 rule: adding a PID to another group moves it.
+	if got := h.Generation(); got != placed {
+		t.Fatalf("idempotent re-add moved the generation %d → %d", placed, got)
+	}
 	if err := h.Add("db", 1); err != nil {
 		t.Fatal(err)
+	}
+	moved := h.Generation()
+	if moved <= placed {
+		t.Fatalf("moving pid 1 left the generation at %d", moved)
 	}
 	if got := h.Members("web"); len(got) != 0 {
 		t.Fatalf("pid 1 still a member of web: %v", got)
@@ -75,9 +83,9 @@ func TestAddMovesBetweenLeaves(t *testing.T) {
 	if err := h.Add("web", 0); err == nil {
 		t.Fatal("non-positive pid should fail")
 	}
-	// The idempotent re-add and the rejected pid placed nothing.
-	if got := h.Adds(); got != 2 {
-		t.Fatalf("Adds = %d, want 2", got)
+	// The rejected pid placed nothing.
+	if got := h.Generation(); got != moved {
+		t.Fatalf("rejected Add moved the generation %d → %d", moved, got)
 	}
 }
 

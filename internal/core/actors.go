@@ -618,10 +618,11 @@ func (a *aggregatorBehavior) rollup(round *roundState) {
 	perCgroup := ensureStringMap(round.buf.perCgroup, a.prevCgroups)
 	round.buf.perCgroup = perCgroup
 	if a.hierarchy != nil {
-		for _, path := range a.hierarchy.Paths() {
+		snap := a.hierarchy.Snapshot()
+		for _, path := range snap.Paths() {
 			sum := 0.0
 			counted := false
-			for _, pid := range a.hierarchy.MembersRecursive(path) {
+			for _, pid := range snap.Recursive(path) {
 				if watts, ok := report.PerPID[pid]; ok {
 					sum += watts
 					counted = true
@@ -662,10 +663,14 @@ func (a *aggregatorBehavior) vmRollup(ctx *actor.Context, round *roundState) {
 	if round.claimed == nil {
 		round.claimed = make(map[int]string)
 	}
+	var snap *cgroup.Snapshot
+	if a.hierarchy != nil {
+		snap = a.hierarchy.Snapshot()
+	}
 	for _, def := range a.vms {
 		pids := def.PIDs
 		if def.cgroupBacked() {
-			pids = a.hierarchy.MembersRecursive(def.CgroupPath)
+			pids = snap.Recursive(def.CgroupPath)
 		}
 		sum := 0.0
 		counted := false

@@ -1166,9 +1166,10 @@ func (p *PowerAPI) dropHistory(t target.Target) {
 }
 
 // pruneMark is a reading of the two counts that can make a hierarchy member
-// prunable: processes leaving StateRunnable and PIDs added to the hierarchy.
-// While both are unchanged, a Prune would remove nothing.
-type pruneMark struct{ exits, adds uint64 }
+// prunable: processes leaving StateRunnable and the hierarchy generation
+// (which moves when a PID joins). While both are unchanged, a Prune would
+// remove nothing.
+type pruneMark struct{ exits, gen uint64 }
 
 // syncCgroupsLocked re-synchronises shard attachments with the cgroup
 // hierarchy and the VM definitions: members that exited are pruned from the
@@ -1187,7 +1188,7 @@ func (p *PowerAPI) syncCgroupsLocked() error {
 	if p.hierarchy != nil {
 		// Both counts are read before the Prune, so an exit or Add racing
 		// it moves them past the stored mark and the next sync prunes again.
-		mark := pruneMark{exits: procs.Exits(), adds: p.hierarchy.Adds()}
+		mark := pruneMark{exits: procs.Exits(), gen: p.hierarchy.Generation()}
 		if mark != p.pruneMark {
 			p.hierarchy.Prune(alive)
 			p.pruneMark = mark
@@ -1196,17 +1197,21 @@ func (p *PowerAPI) syncCgroupsLocked() error {
 	if p.attrScope == source.ScopeCgroup {
 		return nil // a cgroup-scope source reads memberships live
 	}
+	var snap *cgroup.Snapshot
+	if p.hierarchy != nil {
+		snap = p.hierarchy.Snapshot()
+	}
 	desired := make(map[int]bool)
 	for t := range p.monitored {
 		switch t.Kind {
 		case target.KindCgroup:
-			for _, pid := range p.hierarchy.MembersRecursive(t.Path) {
+			for _, pid := range snap.Recursive(t.Path) {
 				desired[pid] = true
 			}
 		case target.KindVM:
 			def := p.vms[t.Name]
 			if def.cgroupBacked() {
-				for _, pid := range p.hierarchy.MembersRecursive(def.CgroupPath) {
+				for _, pid := range snap.Recursive(def.CgroupPath) {
 					desired[pid] = true
 				}
 				continue

@@ -10,6 +10,7 @@ package history
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -48,7 +49,9 @@ func (r *ring) push(s Sample) {
 		return
 	}
 	r.samples[r.head] = s
-	r.head = (r.head + 1) % r.capacity
+	if r.head++; r.head == r.capacity {
+		r.head = 0
+	}
 }
 
 // snapshot appends the retained samples, oldest first, to dst.
@@ -72,16 +75,20 @@ type TargetSample struct {
 const numShards = 16
 
 // storeShard is one lock-domain of the store: a private mutex over a slice of
-// the target space.
+// the target space. Process targets, nearly all of a round's samples, are
+// keyed by PID; every other kind by its target.
 type storeShard struct {
 	mu    sync.RWMutex
+	procs map[int]*ring
 	rings map[target.Target]*ring
-	// tombstones records, per removed target, the last round it could have
-	// legitimately appeared in. The pipeline's history writer runs behind an
-	// asynchronous subscription, so a Remove can race a still-queued older
-	// round; the cutoff lets recordLocked drop such late samples instead of
-	// resurrecting the ring. A tombstone is cleared the moment the target
-	// produces a sample from a newer round (a genuine re-attach).
+	// procTombs and tombstones record, per removed target, the last round it
+	// could have legitimately appeared in. The pipeline's history writer runs
+	// behind an asynchronous subscription, so a Remove can race a
+	// still-queued older round; the cutoff lets ringLocked drop such late
+	// samples instead of resurrecting the ring. A tombstone is cleared the
+	// moment the target produces a sample from a newer round (a genuine
+	// re-attach).
+	procTombs  map[int]time.Duration
 	tombstones map[target.Target]time.Duration
 }
 
@@ -104,7 +111,8 @@ type Store struct {
 	// can be reused round over round without allocation. Rounds arrive from a
 	// single FIFO subscription, so this lock is uncontended in practice.
 	batchMu sync.Mutex
-	grouped [numShards][]TargetSample
+	grouped [numShards][]int32 // indices into the round's samples
+	found   []*ring            // one shard's rings for its grouped samples
 }
 
 // NewStore creates a store retaining up to capacity samples per target
@@ -115,7 +123,9 @@ func NewStore(capacity int) *Store {
 	}
 	s := &Store{capacity: capacity}
 	for i := range s.shards {
+		s.shards[i].procs = make(map[int]*ring)
 		s.shards[i].rings = make(map[target.Target]*ring)
+		s.shards[i].procTombs = make(map[int]time.Duration)
 		s.shards[i].tombstones = make(map[target.Target]time.Duration)
 	}
 	return s
@@ -138,7 +148,9 @@ func (s *Store) Capacity() int { return s.capacity }
 func (s *Store) Record(t target.Target, ts time.Duration, watts float64) {
 	sh := s.shardFor(t)
 	sh.mu.Lock()
-	sh.recordLocked(t, ts, watts, s.capacity)
+	if r := sh.ringLocked(t, ts, s.capacity); r != nil {
+		r.push(Sample{Timestamp: ts, Watts: watts})
+	}
 	sh.mu.Unlock()
 }
 
@@ -152,6 +164,10 @@ func (s *Store) Record(t target.Target, ts time.Duration, watts float64) {
 // stay bounded by the targets removed since the previous round, not by every
 // target that ever existed.
 //
+// Each shard's rings are all looked up before any sample is written: the
+// lookups are independent, so the CPU overlaps their cache misses, where one
+// loop interleaving lookups and writes would mostly wait on one at a time.
+//
 //powerapi:hotpath
 func (s *Store) RecordBatch(ts time.Duration, samples []TargetSample) {
 	s.batchMu.Lock()
@@ -159,41 +175,69 @@ func (s *Store) RecordBatch(ts time.Duration, samples []TargetSample) {
 	for i := range s.grouped {
 		s.grouped[i] = s.grouped[i][:0]
 	}
-	for _, sm := range samples {
-		i := sm.Target.RouteKey() % numShards
-		s.grouped[i] = append(s.grouped[i], sm)
+	for j := range samples {
+		i := samples[j].Target.RouteKey() % numShards
+		s.grouped[i] = append(s.grouped[i], int32(j))
 	}
 	for i := range s.shards {
-		group := s.grouped[i]
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, sm := range group {
-			sh.recordLocked(sm.Target, ts, sm.Watts, s.capacity)
+		s.found = s.found[:0]
+		for _, j := range s.grouped[i] {
+			s.found = append(s.found, sh.ringLocked(samples[j].Target, ts, s.capacity))
 		}
-		for t, cutoff := range sh.tombstones {
-			if cutoff < ts {
-				delete(sh.tombstones, t)
+		for k, j := range s.grouped[i] {
+			if r := s.found[k]; r != nil {
+				r.push(Sample{Timestamp: ts, Watts: samples[j].Watts})
 			}
 		}
+		pruneTombstones(sh.procTombs, ts)
+		pruneTombstones(sh.tombstones, ts)
 		sh.mu.Unlock()
 	}
 }
 
+// ringLocked returns the ring a sample of t stamped ts goes to, creating it
+// on the target's first sample, or nil when the sample is a late one of a
+// removed target. Callers hold sh.mu for writing.
+//
 //powerapi:hotpath
-func (sh *storeShard) recordLocked(t target.Target, ts time.Duration, watts float64, capacity int) {
-	if cutoff, ok := sh.tombstones[t]; ok {
-		if ts <= cutoff {
-			return // late sample of a removed target
-		}
-		delete(sh.tombstones, t) // the target is genuinely back
+func (sh *storeShard) ringLocked(t target.Target, ts time.Duration, capacity int) *ring {
+	if t.Kind == target.KindProcess {
+		return ringIn(sh.procs, sh.procTombs, t.PID, ts, capacity)
 	}
-	r, ok := sh.rings[t]
+	return ringIn(sh.rings, sh.tombstones, t, ts, capacity)
+}
+
+// ringIn is ringLocked over one pair of ring and tombstone maps.
+//
+//powerapi:hotpath
+func ringIn[K comparable](rings map[K]*ring, tombstones map[K]time.Duration, key K, ts time.Duration, capacity int) *ring {
+	if cutoff, ok := tombstones[key]; ok {
+		if ts <= cutoff {
+			return nil // late sample of a removed target
+		}
+		delete(tombstones, key) // the target is genuinely back
+	}
+	r, ok := rings[key]
 	if !ok {
 		//powerapi:allow hotpath one ring per target lifetime, not per round
 		r = &ring{capacity: capacity}
-		sh.rings[t] = r
+		rings[key] = r
 	}
-	r.push(Sample{Timestamp: ts, Watts: watts})
+	return r
+}
+
+// pruneTombstones drops the tombstones older than a round stamped ts: no
+// later sample can match them.
+//
+//powerapi:hotpath
+func pruneTombstones[K comparable](tombstones map[K]time.Duration, ts time.Duration) {
+	for key, cutoff := range tombstones {
+		if cutoff < ts {
+			delete(tombstones, key)
+		}
+	}
 }
 
 // Remove drops every retained sample of one target and ignores any late
@@ -218,7 +262,7 @@ func (s *Store) RemoveSubtree(root string, cutoff time.Duration) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for t := range sh.rings {
+		for t := range sh.all() {
 			if t.Kind == target.KindCgroup && cgroup.InSubtree(t.Path, root) {
 				sh.removeLocked(t, cutoff)
 			}
@@ -228,9 +272,43 @@ func (s *Store) RemoveSubtree(root string, cutoff time.Duration) {
 }
 
 func (sh *storeShard) removeLocked(t target.Target, cutoff time.Duration) {
-	delete(sh.rings, t)
-	if cutoff >= sh.tombstones[t] {
-		sh.tombstones[t] = cutoff
+	if t.Kind == target.KindProcess {
+		removeIn(sh.procs, sh.procTombs, t.PID, cutoff)
+		return
+	}
+	removeIn(sh.rings, sh.tombstones, t, cutoff)
+}
+
+// removeIn is removeLocked over one pair of ring and tombstone maps.
+func removeIn[K comparable](rings map[K]*ring, tombstones map[K]time.Duration, key K, cutoff time.Duration) {
+	delete(rings, key)
+	if cutoff >= tombstones[key] {
+		tombstones[key] = cutoff
+	}
+}
+
+// ring returns a target's ring, nil when it has none. Callers hold sh.mu.
+func (sh *storeShard) ring(t target.Target) *ring {
+	if t.Kind == target.KindProcess {
+		return sh.procs[t.PID]
+	}
+	return sh.rings[t]
+}
+
+// all iterates every ring of the shard with its target, processes first.
+// Callers hold sh.mu; the body may remove the target it is handed.
+func (sh *storeShard) all() iter.Seq2[target.Target, *ring] {
+	return func(yield func(target.Target, *ring) bool) {
+		for pid, r := range sh.procs {
+			if !yield(target.Process(pid), r) {
+				return
+			}
+		}
+		for t, r := range sh.rings {
+			if !yield(t, r) {
+				return
+			}
+		}
 	}
 }
 
@@ -241,7 +319,7 @@ func (s *Store) tombstoneCount() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.tombstones)
+		n += len(sh.procTombs) + len(sh.tombstones)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -255,8 +333,8 @@ func (s *Store) Occupancy() (targets, samples int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		targets += len(sh.rings)
-		for _, r := range sh.rings {
+		for _, r := range sh.all() {
+			targets++
 			samples += len(r.samples)
 		}
 		sh.mu.RUnlock()
@@ -267,16 +345,25 @@ func (s *Store) Occupancy() (targets, samples int) {
 // Targets returns every target the store has retained samples for, sorted by
 // their string form.
 func (s *Store) Targets() []target.Target {
-	var out []target.Target
+	// Each target's string form is built once, not in every comparison.
+	type keyed struct {
+		key string
+		t   target.Target
+	}
+	var all []keyed
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for t := range sh.rings {
-			out = append(out, t)
+		for t := range sh.all() {
+			all = append(all, keyed{key: t.String(), t: t})
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	out := make([]target.Target, len(all))
+	for i, k := range all {
+		out[i] = k.t
+	}
 	return out
 }
 
@@ -285,8 +372,8 @@ func (s *Store) Samples(t target.Target) []Sample {
 	sh := s.shardFor(t)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.rings[t]
-	if !ok {
+	r := sh.ring(t)
+	if r == nil {
 		return nil
 	}
 	return r.snapshot(make([]Sample, 0, len(r.samples)))
@@ -364,6 +451,7 @@ func (s *Store) Query(q Query) ([]Stats, error) {
 	// The snapshot is taken shard by shard: a round being recorded concurrently
 	// may be cut between shards, but each target's series is consistent.
 	type entry struct {
+		key     string // t.String(), built once for the sort
 		t       target.Target
 		samples []Sample
 	}
@@ -372,7 +460,7 @@ func (s *Store) Query(q Query) ([]Stats, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for t, r := range sh.rings {
+		for t, r := range sh.all() {
 			if targetSet != nil && !targetSet[t] {
 				continue
 			}
@@ -396,12 +484,13 @@ func (s *Store) Query(q Query) ([]Stats, error) {
 				selected = append(selected, sm)
 			}
 			if len(selected) > 0 {
-				entries = append(entries, entry{t: t, samples: selected})
+				entries = append(entries, entry{key: t.String(), t: t, samples: selected})
 			}
 		}
 		sh.mu.RUnlock()
 	}
 
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	out := make([]Stats, 0, len(entries))
 	for _, e := range entries {
 		st := aggregate(e.t, e.samples)
@@ -410,7 +499,6 @@ func (s *Store) Query(q Query) ([]Stats, error) {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target.String() < out[j].Target.String() })
 	return out, nil
 }
 
