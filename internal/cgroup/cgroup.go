@@ -38,7 +38,12 @@ type group struct {
 type Hierarchy struct {
 	mu     sync.RWMutex
 	groups map[string]*group
-	leaf   map[int]string // pid → the one group that directly holds it
+	leaf   map[int]placement // pid → the one group that directly holds it
+	// pending lists the PIDs an Add placed since the last Prune, in no
+	// order; each one's placement holds its index. Leave takes a PID out, so
+	// pending never outgrows leaf. It is a slice, not a set: it empties every
+	// Prune, and iterating a cleared map still walks its old capacity.
+	pending []int
 	// gen counts the changes to membership or shape: a new group, a Delete,
 	// an Add that places or moves a PID, a Leave and a Prune that removed
 	// something. Between two equal readings the hierarchy is unchanged.
@@ -46,6 +51,13 @@ type Hierarchy struct {
 	// snap is the read view built at generation snap.gen; Snapshot rebuilds
 	// it on the first read after gen moves.
 	snap *Snapshot
+}
+
+// placement is where a member PID sits: its leaf group's path and, while the
+// PID awaits Prune's check, 1 + its index in Hierarchy.pending (0 otherwise).
+type placement struct {
+	path    string
+	pending int
 }
 
 // Snapshot is a read-only view of a hierarchy at one generation: every group
@@ -62,7 +74,7 @@ type Snapshot struct {
 func NewHierarchy() *Hierarchy {
 	return &Hierarchy{
 		groups: make(map[string]*group),
-		leaf:   make(map[int]string),
+		leaf:   make(map[int]placement),
 	}
 }
 
@@ -179,21 +191,25 @@ func (h *Hierarchy) Add(path string, pid int) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if prev, ok := h.leaf[pid]; ok {
-		if prev == path {
+	pl, placed := h.leaf[pid]
+	if placed {
+		if pl.path == path {
 			return nil
 		}
-		delete(h.groups[prev].members, pid)
+		delete(h.groups[pl.path].members, pid)
+	} else {
+		h.pending = append(h.pending, pid)
+		pl.pending = len(h.pending)
 	}
 	h.create(path).members[pid] = true
-	h.leaf[pid] = path
+	pl.path = path
+	h.leaf[pid] = pl
 	h.gen++
 	return nil
 }
 
 // Generation returns the hierarchy's change count. Between two equal readings
-// no group was created or deleted and no PID joined, moved or left, so a
-// Prune whose alive answers have not changed either would remove nothing.
+// no group was created or deleted and no PID joined, moved or left.
 func (h *Hierarchy) Generation() uint64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -204,11 +220,22 @@ func (h *Hierarchy) Generation() uint64 {
 func (h *Hierarchy) Leave(pid int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	path, ok := h.leaf[pid]
+	pl, ok := h.leaf[pid]
 	if !ok {
 		return fmt.Errorf("cgroup: pid %d is not in any group", pid)
 	}
-	delete(h.groups[path].members, pid)
+	if pl.pending != 0 {
+		// Swap the last pending PID into this one's index.
+		i, last := pl.pending-1, h.pending[len(h.pending)-1]
+		h.pending[i] = last
+		h.pending = h.pending[:len(h.pending)-1]
+		if last != pid {
+			moved := h.leaf[last]
+			moved.pending = i + 1
+			h.leaf[last] = moved
+		}
+	}
+	delete(h.groups[pl.path].members, pid)
 	delete(h.leaf, pid)
 	h.gen++
 	return nil
@@ -218,8 +245,8 @@ func (h *Hierarchy) Leave(pid int) error {
 func (h *Hierarchy) LeafOf(pid int) (string, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	path, ok := h.leaf[pid]
-	return path, ok
+	pl, ok := h.leaf[pid]
+	return pl.path, ok
 }
 
 // Members returns the PIDs held directly by a group, sorted.
@@ -337,19 +364,37 @@ func (h *Hierarchy) Len() int {
 	return len(h.groups)
 }
 
-// Prune removes every member PID for which alive returns false — the
-// lifecycle step dropping processes that exited — and returns the removed
-// PIDs, sorted. Groups stay in place even when emptied, like a cgroup
-// directory outliving its tasks.
-func (h *Hierarchy) Prune(alive func(pid int) bool) []int {
+// Prune is the lifecycle step dropping processes that exited. It checks the
+// PIDs an Add placed since the last Prune, and the members among exited, the
+// PIDs whose processes exited since the caller's last Prune; those for which
+// alive returns false leave the hierarchy. It returns the removed PIDs,
+// sorted. A member that was alive when checked is checked again only when
+// exited names it (a move does not), so exited must list every exit since
+// the caller's previous Prune. The cost is at most one alive call per
+// pending and per exited PID, not one per member. Groups stay in place even
+// when emptied, like a cgroup directory outliving its tasks.
+func (h *Hierarchy) Prune(alive func(pid int) bool, exited []int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var removed []int
-	for pid, path := range h.leaf {
+	for _, pid := range h.pending {
+		pl := h.leaf[pid]
 		if alive(pid) {
+			pl.pending = 0
+			h.leaf[pid] = pl
 			continue
 		}
-		delete(h.groups[path].members, pid)
+		delete(h.groups[pl.path].members, pid)
+		delete(h.leaf, pid)
+		removed = append(removed, pid)
+	}
+	h.pending = h.pending[:0]
+	for _, pid := range exited {
+		pl, ok := h.leaf[pid]
+		if !ok || alive(pid) {
+			continue
+		}
+		delete(h.groups[pl.path].members, pid)
 		delete(h.leaf, pid)
 		removed = append(removed, pid)
 	}

@@ -127,15 +127,23 @@ func TestLeaveAndPrune(t *testing.T) {
 	if err := h.Leave(2); err == nil {
 		t.Fatal("leaving twice should fail")
 	}
-	removed := h.Prune(func(pid int) bool { return pid != 3 })
+	// The first Prune checks every PID placed since the hierarchy was made.
+	removed := h.Prune(func(pid int) bool { return pid != 3 }, nil)
 	if !reflect.DeepEqual(removed, []int{3}) {
 		t.Fatalf("Prune removed %v, want [3]", removed)
+	}
+	// A member checked alive is checked again only when named as exited.
+	if removed := h.Prune(func(pid int) bool { return pid != 1 }, nil); len(removed) != 0 {
+		t.Fatalf("Prune without exits removed %v", removed)
+	}
+	if removed := h.Prune(func(pid int) bool { return pid != 1 }, []int{1, 2}); !reflect.DeepEqual(removed, []int{1}) {
+		t.Fatalf("Prune with exits [1 2] removed %v, want [1]", removed)
 	}
 	// Groups outlive their tasks, like a cgroup directory.
 	if !h.Exists("web/api") {
 		t.Fatal("emptied group should still exist")
 	}
-	if got := h.MembersRecursive("web"); !reflect.DeepEqual(got, []int{1}) {
+	if got := h.MembersRecursive("web"); len(got) != 0 {
 		t.Fatalf("MembersRecursive(web) = %v", got)
 	}
 }

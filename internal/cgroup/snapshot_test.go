@@ -38,13 +38,13 @@ func TestGenerationMovesOnEveryChange(t *testing.T) {
 	step("add into a new group", true, func() error { return h.Add("db", 2) })
 	step("leave", true, func() error { return h.Leave(2) })
 	step("prune removing nothing", false, func() error {
-		if got := h.Prune(func(int) bool { return true }); len(got) != 0 {
+		if got := h.Prune(func(int) bool { return true }, nil); len(got) != 0 {
 			return fmt.Errorf("pruned %v", got)
 		}
 		return nil
 	})
 	step("prune removing a pid", true, func() error {
-		if got := h.Prune(func(pid int) bool { return pid != 1 }); !reflect.DeepEqual(got, []int{1}) {
+		if got := h.Prune(func(pid int) bool { return pid != 1 }, []int{1}); !reflect.DeepEqual(got, []int{1}) {
 			return fmt.Errorf("pruned %v, want [1]", got)
 		}
 		return nil
@@ -76,6 +76,7 @@ func TestSnapshotMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	paths := []string{"web", "web/api", "web/api/v2", "web-x", "web-x/a", "db", "db/replica", "cache"}
 	h := NewHierarchy()
+	dead := make(map[int]bool)
 	for i := 0; i < 2000; i++ {
 		pid := 1 + rng.Intn(60)
 		path := paths[rng.Intn(len(paths))]
@@ -85,8 +86,8 @@ func TestSnapshotMatchesWalk(t *testing.T) {
 		case op < 7:
 			_ = h.Leave(pid)
 		case op < 8:
-			dead := rng.Intn(7)
-			_ = h.Prune(func(p int) bool { return p%7 != dead })
+			dead[pid] = true
+			_ = h.Prune(func(p int) bool { return !dead[p] }, []int{pid})
 		case op < 9:
 			_ = h.Delete(path) // fails unless the group is empty and childless
 		default:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -346,10 +347,15 @@ type PowerAPI struct {
 	// contains them. A PID present in both stays attached until it leaves both.
 	monitored map[target.Target]bool
 	members   map[int]bool
-	// pruneMark is the reading taken before this monitor's last Prune of the
-	// hierarchy; syncCgroupsLocked skips the Prune while it still matches.
-	pruneMark pruneMark
-	closed    bool
+	// groupsEpoch counts the cgroup and VM targets entering or leaving
+	// monitored, the changes that move the set of members.
+	groupsEpoch uint64
+	// synced is the reading taken before this monitor's last successful
+	// membership sync; syncCgroupsLocked does nothing while it still matches.
+	// exited is the sync's scratch list of PIDs read from the exit journal.
+	synced syncMark
+	exited []int
+	closed bool
 	// lastReport is the pooled round the most recent Collect returned; it is
 	// released when the next Collect replaces it (the Collect retention
 	// contract) or on Shutdown.
@@ -1016,6 +1022,7 @@ func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 				return fmt.Errorf("core: cannot attach %v: no such cgroup", t)
 			}
 			p.monitored[t] = true
+			p.groupsEpoch++
 			if err := p.syncCgroupsLocked(); err != nil {
 				return err
 			}
@@ -1028,6 +1035,7 @@ func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 				return fmt.Errorf("core: cannot attach %v: no such cgroup %q", t, def.CgroupPath)
 			}
 			p.monitored[t] = true
+			p.groupsEpoch++
 			if err := p.syncCgroupsLocked(); err != nil {
 				return err
 			}
@@ -1136,8 +1144,10 @@ func (p *PowerAPI) DetachTargets(targets ...target.Target) error {
 			p.dropHistory(t)
 		default:
 			delete(p.monitored, t)
+			p.groupsEpoch++
 			if err := p.syncCgroupsLocked(); err != nil {
 				p.monitored[t] = true // restore so the detach can be retried
+				p.groupsEpoch++
 				return err
 			}
 			p.dropHistory(t)
@@ -1165,11 +1175,12 @@ func (p *PowerAPI) dropHistory(t target.Target) {
 	p.history.Remove(t, p.lastCollect)
 }
 
-// pruneMark is a reading of the two counts that can make a hierarchy member
-// prunable: processes leaving StateRunnable and the hierarchy generation
-// (which moves when a PID joins). While both are unchanged, a Prune would
-// remove nothing.
-type pruneMark struct{ exits, gen uint64 }
+// syncMark is a reading of everything a membership sync depends on: the
+// process exits (the exit journal's length), the hierarchy generation (which
+// moves when a PID joins, moves or leaves), the processes spawned (a pid-set
+// VM may name a PID before it exists) and the monitored cgroup and VM
+// targets. While all four are unchanged, a sync would change nothing.
+type syncMark struct{ exits, gen, spawned, groups uint64 }
 
 // syncCgroupsLocked re-synchronises shard attachments with the cgroup
 // hierarchy and the VM definitions: members that exited are pruned from the
@@ -1181,18 +1192,32 @@ func (p *PowerAPI) syncCgroupsLocked() error {
 		return nil
 	}
 	procs := p.machine.Processes()
+	// Every count is read before the work it gates, so an exit, spawn or
+	// Add racing the sync moves the mark past the stored one and the next
+	// sync runs again.
+	mark := syncMark{spawned: procs.Spawned(), groups: p.groupsEpoch}
+	if p.hierarchy != nil {
+		mark.gen = p.hierarchy.Generation()
+	}
+	p.exited, mark.exits = procs.ExitedSince(p.synced.exits, p.exited[:0])
+	if mark == p.synced {
+		return nil
+	}
+	if err := p.syncMembersLocked(procs); err != nil {
+		return err // the mark stays, so the next Collect retries
+	}
+	p.synced = mark
+	return nil
+}
+
+// syncMembersLocked does the work of syncCgroupsLocked once its mark moved.
+func (p *PowerAPI) syncMembersLocked(procs *proc.Table) error {
 	alive := func(pid int) bool {
 		pr, err := procs.Get(pid)
 		return err == nil && pr.State() == proc.StateRunnable
 	}
 	if p.hierarchy != nil {
-		// Both counts are read before the Prune, so an exit or Add racing
-		// it moves them past the stored mark and the next sync prunes again.
-		mark := pruneMark{exits: procs.Exits(), gen: p.hierarchy.Generation()}
-		if mark != p.pruneMark {
-			p.hierarchy.Prune(alive)
-			p.pruneMark = mark
-		}
+		p.hierarchy.Prune(alive, p.exited)
 	}
 	if p.attrScope == source.ScopeCgroup {
 		return nil // a cgroup-scope source reads memberships live
@@ -1284,11 +1309,20 @@ func (p *PowerAPI) Monitored() []int {
 func (p *PowerAPI) MonitoredTargets() []target.Target {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]target.Target, 0, len(p.monitored))
-	for t := range p.monitored {
-		out = append(out, t)
+	// Each target's string form is built once, not in every comparison.
+	type keyed struct {
+		key string
+		t   target.Target
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	all := make([]keyed, 0, len(p.monitored))
+	for t := range p.monitored {
+		all = append(all, keyed{key: t.String(), t: t})
+	}
+	slices.SortFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]target.Target, len(all))
+	for i, k := range all {
+		out[i] = k.t
+	}
 	return out
 }
 

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"powerapi/internal/workload"
@@ -169,11 +168,13 @@ type Table struct {
 	// re-sort, which keeps the per-tick Runnable scan O(n) instead of
 	// O(n log n) at 100k processes.
 	sorted []*Process
-	// exits counts runnable→exited transitions. It moves only after the
-	// state change is visible, so a reader that loads it before scanning
-	// states either sees every exit it counted or a count that differs from
-	// its next load.
-	exits atomic.Uint64
+	// journalMu guards journal. Reap appends while holding mu for reading,
+	// so the order is mu → journalMu.
+	journalMu sync.Mutex
+	// journal lists the PIDs in the order they left StateRunnable. A PID is
+	// appended only after its state change is visible, and a process exits
+	// at most once, so the journal never outgrows the table.
+	journal []int
 }
 
 // NewTable creates an empty process table. PIDs start at 1000 to look like a
@@ -225,15 +226,47 @@ func (t *Table) Kill(pid int, at time.Duration) error {
 		return err
 	}
 	if p.exit(at) {
-		t.exits.Add(1)
+		t.journalExit(pid)
 	}
 	return nil
+}
+
+func (t *Table) journalExit(pid int) {
+	t.journalMu.Lock()
+	defer t.journalMu.Unlock()
+	t.journal = append(t.journal, pid)
 }
 
 // Exits returns how many processes have left StateRunnable so far. A process
 // only leaves it by exiting, so an unchanged count means no process that was
 // runnable at the previous load has exited since.
-func (t *Table) Exits() uint64 { return t.exits.Load() }
+func (t *Table) Exits() uint64 {
+	t.journalMu.Lock()
+	defer t.journalMu.Unlock()
+	return uint64(len(t.journal))
+}
+
+// ExitedSince appends to dst the PIDs that left StateRunnable after the first
+// n exits, in exit order, and returns the extended slice and the new exit
+// count; passing that count back next time reads only the exits in between.
+// A cursor past the end reads nothing.
+func (t *Table) ExitedSince(n uint64, dst []int) ([]int, uint64) {
+	t.journalMu.Lock()
+	defer t.journalMu.Unlock()
+	end := uint64(len(t.journal))
+	if n < end {
+		dst = append(dst, t.journal[n:]...)
+	}
+	return dst, end
+}
+
+// Spawned returns how many processes were spawned so far, exited ones
+// included.
+func (t *Table) Spawned() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return uint64(len(t.sorted))
+}
 
 // List returns every process (any state) ordered by PID.
 func (t *Table) List() []*Process {
@@ -280,7 +313,7 @@ func (t *Table) Reap(at time.Duration) []int {
 	for _, p := range t.sorted {
 		if p.State() == StateRunnable && p.WorkloadDone(at) {
 			if p.exit(at) {
-				t.exits.Add(1)
+				t.journalExit(p.pid)
 			}
 			reaped = append(reaped, p.pid)
 		}

@@ -8,16 +8,19 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"powerapi/internal/cpu"
 )
 
 // Candidate is one runnable process from the scheduler's point of view.
 type Candidate struct {
-	// PID identifies the process.
+	// PID identifies the process; the candidates of one Assign call carry
+	// distinct PIDs.
 	PID int
 	// Utilization is the fraction of one logical CPU the process wants this
 	// tick, in [0, 1].
@@ -51,7 +54,7 @@ func validateCandidates(candidates []Candidate, topo *cpu.Topology) error {
 		return errors.New("sched: nil topology")
 	}
 	for _, c := range candidates {
-		if c.Utilization < 0 || c.Utilization > 1 {
+		if math.IsNaN(c.Utilization) || c.Utilization < 0 || c.Utilization > 1 {
 			return fmt.Errorf("sched: candidate %d utilization %v out of [0,1]", c.PID, c.Utilization)
 		}
 		for _, id := range c.Affinity {
@@ -62,6 +65,17 @@ func validateCandidates(candidates []Candidate, topo *cpu.Topology) error {
 	}
 	return nil
 }
+
+// byUtilizationThenPID orders candidates by falling utilization, then by PID.
+func byUtilizationThenPID(a, b Candidate) int {
+	if c := cmp.Compare(b.Utilization, a.Utilization); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.PID, b.PID)
+}
+
+// byPID orders candidates by PID.
+func byPID(a, b Candidate) int { return cmp.Compare(a.PID, b.PID) }
 
 // allowedCPUs resolves the affinity of a candidate to a usable CPU list.
 func allowedCPUs(c Candidate, topo *cpu.Topology) []int {
@@ -140,13 +154,9 @@ func (l *LoadBalancer) Assign(candidates []Candidate, topo *cpu.Topology) ([]Ass
 	ordered := append(l.ordered[:0], candidates...)
 	l.ordered = ordered
 	// Heaviest demands first so they land on empty CPUs; PID breaks ties for
-	// determinism.
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Utilization != ordered[j].Utilization {
-			return ordered[i].Utilization > ordered[j].Utilization
-		}
-		return ordered[i].PID < ordered[j].PID
-	})
+	// determinism. With distinct PIDs the order is total, so an unstable
+	// sort gives the one possible result.
+	slices.SortFunc(ordered, byUtilizationThenPID)
 	out := l.out[:0]
 	for _, c := range ordered {
 		if c.Utilization <= 0 {
@@ -203,7 +213,7 @@ func (p *Packing) Assign(candidates []Candidate, topo *cpu.Topology) ([]Assignme
 		return nil, err
 	}
 	ordered := append([]Candidate(nil), candidates...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].PID < ordered[j].PID })
+	slices.SortFunc(ordered, byPID)
 	capacity := make([]float64, topo.NumLogical())
 	for i := range capacity {
 		capacity[i] = 1
@@ -263,7 +273,7 @@ func (r *RoundRobin) Assign(candidates []Candidate, topo *cpu.Topology) ([]Assig
 		return nil, err
 	}
 	ordered := append([]Candidate(nil), candidates...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].PID < ordered[j].PID })
+	slices.SortFunc(ordered, byPID)
 	var out []Assignment
 	slot := 0
 	for _, c := range ordered {

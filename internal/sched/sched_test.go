@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"powerapi/internal/cpu"
@@ -242,6 +246,76 @@ func TestEmptyCandidateLists(t *testing.T) {
 		}
 		if len(assignments) != 0 {
 			t.Fatalf("%s: assignments for no candidates: %v", s.Name(), assignments)
+		}
+	}
+}
+
+// TestValidationRejectsNonFinite checks that NaN and infinite utilizations
+// are rejected: NaN compares false both ways, so a plain range check lets it
+// through into the sort and the shares.
+func TestValidationRejectsNonFinite(t *testing.T) {
+	topo := i3Topology(t)
+	for _, s := range []Scheduler{NewLoadBalancer(), NewPacking(), NewRoundRobin()} {
+		for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			candidates := []Candidate{{PID: 1, Utilization: 0.5}, {PID: 2, Utilization: u}}
+			if _, err := s.Assign(candidates, topo); err == nil {
+				t.Fatalf("%s: utilization %v accepted", s.Name(), u)
+			}
+		}
+	}
+}
+
+// TestAssignOrderMatchesStableSort draws seeded candidates with many tied
+// utilizations in shuffled order and checks that each policy places them in
+// the order a stable sort with the same comparator gives.
+func TestAssignOrderMatchesStableSort(t *testing.T) {
+	topo := i3Topology(t)
+	levels := []float64{0, 0.1, 0.25, 0.5, 0.5, 0.75, 1}
+	byLoad := func(c []Candidate) func(i, j int) bool {
+		return func(i, j int) bool {
+			if c[i].Utilization != c[j].Utilization {
+				return c[i].Utilization > c[j].Utilization
+			}
+			return c[i].PID < c[j].PID
+		}
+	}
+	byPIDOnly := func(c []Candidate) func(i, j int) bool {
+		return func(i, j int) bool { return c[i].PID < c[j].PID }
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		candidates := make([]Candidate, 50+rng.Intn(200))
+		for i := range candidates {
+			candidates[i] = Candidate{PID: 1000 + i, Utilization: levels[rng.Intn(len(levels))]}
+		}
+		rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+		for _, tc := range []struct {
+			s    Scheduler
+			less func([]Candidate) func(i, j int) bool
+		}{
+			{NewLoadBalancer(), byLoad},
+			{NewPacking(), byPIDOnly},
+			{NewRoundRobin(), byPIDOnly},
+		} {
+			want := append([]Candidate(nil), candidates...)
+			sort.SliceStable(want, tc.less(want))
+			var wantPIDs []int
+			for _, c := range want {
+				if c.Utilization > 0 {
+					wantPIDs = append(wantPIDs, c.PID)
+				}
+			}
+			out, err := tc.s.Assign(candidates, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPIDs := make([]int, len(out))
+			for i, a := range out {
+				gotPIDs[i] = a.PID
+			}
+			if !slices.Equal(gotPIDs, wantPIDs) {
+				t.Fatalf("seed %d, %s: placement order %v, stable sort gives %v", seed, tc.s.Name(), gotPIDs, wantPIDs)
+			}
 		}
 	}
 }
