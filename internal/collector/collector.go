@@ -7,7 +7,7 @@
 // The design carries the single-host pipeline's hot-path discipline one level
 // up. Ingest is a bounded concurrent-gather pool (the telegraf input model):
 // one cheap reader goroutine per node link feeds a small per-node drop-oldest
-// payload ring, and a fixed pool of workers decodes payloads into each node's
+// payload queue, and a fixed pool of workers decodes payloads into each node's
 // retained contribution — route keys resolved to dense fleet-global slots
 // (each row first checked, lock-free, against the slot its position held in
 // the node's last frame) so the binary-codec steady state allocates nothing
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
 	"powerapi/internal/vmbridge"
@@ -92,7 +93,7 @@ type Collector struct {
 	self    *obs.SelfMeter
 	hist    *history.Store
 	keys    keyTable
-	subs    fleetRegistry
+	subs    *fanout.Registry[*Subscription, *FleetReport]
 	journal *Journal
 	e2eHist *obs.Histogram
 
@@ -147,6 +148,7 @@ func New(cfg Config) (*Collector, error) {
 		log:       cfg.Logger,
 		tracer:    obs.NewTracer(cfg.TraceRing),
 		hist:      history.NewStore(cfg.HistoryCapacity),
+		subs:      fanout.NewRegistry((*Subscription).offer),
 		byAddr:    make(map[string]*nodeConn),
 		notify:    make(chan *nodeConn, 8192),
 		shardDone: make(chan struct{}, cfg.Shards),
@@ -201,7 +203,7 @@ func (c *Collector) tickLoop() {
 // which case the node only names an ingest queue for FeedPayload. Adding an
 // address twice is an error.
 func (c *Collector) AddNode(addr string) error {
-	n := &nodeConn{addr: addr}
+	n := newNodeConn(addr)
 	c.nodesMu.Lock()
 	if _, dup := c.byAddr[addr]; dup {
 		c.nodesMu.Unlock()
@@ -281,7 +283,7 @@ type NodeStats struct {
 	Frames uint64 `json:"frames"`
 	Bytes  uint64 `json:"bytes"`
 	// DecodeErrors counts undecodable payloads; DroppedPayloads counts
-	// payloads shed by the node's drop-oldest ring; Reconnects counts link
+	// payloads shed by the node's drop-oldest queue; Reconnects counts link
 	// re-establishments; StaleSkips counts rounds that skipped the node.
 	DecodeErrors    uint64 `json:"decodeErrors"`
 	DroppedPayloads uint64 `json:"droppedPayloads"`
@@ -313,7 +315,7 @@ type Stats struct {
 	Keys int `json:"keys"`
 	// Nodes is the per-link state, in join order.
 	Nodes []NodeStats `json:"nodes"`
-	// Subscriptions mirrors the monitor's per-subscription counters.
+	// Subscriptions is one row of delivery counters per live subscription.
 	Subscriptions []core.SubscriptionInfo `json:"subscriptions,omitempty"`
 	// Self is the collector's own measured power draw.
 	Self core.SelfStats `json:"self"`
@@ -333,7 +335,7 @@ func (c *Collector) Stats() Stats {
 		StaleNodes:    int(c.lastStale.Load()),
 		TotalWatts:    loadFloat(&c.lastTotal),
 		Keys:          len(c.keys.load()),
-		Subscriptions: c.subs.stats(),
+		Subscriptions: c.subs.Stats((*Subscription).info),
 		EventsDropped: c.journal.Dropped(),
 	}
 	counts := c.journal.Counts()
@@ -385,7 +387,7 @@ func (c *Collector) Stats() Stats {
 		ns.Frames = n.frames.Load()
 		ns.Bytes = n.bytes.Load()
 		ns.DecodeErrors = n.decodeErrs.Load()
-		ns.DroppedPayloads = n.ring.dropped.Load()
+		ns.DroppedPayloads = n.payloads.Dropped()
 		ns.Reconnects = n.reconnects.Load()
 		ns.StaleSkips = n.staleSkips.Load()
 		s.Nodes = append(s.Nodes, ns)
@@ -405,13 +407,18 @@ func (c *Collector) Close() error {
 			n.retire()
 		}
 		c.wg.Wait()
+		for _, n := range nodes {
+			n.payloads.Discard()
+		}
 		c.outputsMu.Lock()
 		outs := append([]*Output(nil), c.outputs...)
 		c.outputsMu.Unlock()
 		for _, o := range outs {
 			o.Close()
 		}
-		c.subs.closeAll()
+		for _, s := range c.subs.CloseAll() {
+			s.q.Discard()
+		}
 	})
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/history"
+	"powerapi/internal/target"
 	"powerapi/internal/vmbridge"
 )
 
@@ -237,6 +239,92 @@ func TestSubscribeFanout(t *testing.T) {
 	}
 }
 
+// TestBlockSubscriptionCloseUnblocksRollup: a Block subscription whose
+// buffer is full holds the next rollup in the fanout; closing it must abort
+// that delivery (releasing the round's reference) and return, and the held
+// rollup must complete.
+func TestBlockSubscriptionCloseUnblocksRollup(t *testing.T) {
+	c, err := New(Config{Codec: vmbridge.CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe(SubscribeOptions{Name: "stalled", Policy: core.Block, Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Rollup().Release() // fills the subscription's only slot
+	second := make(chan *FleetReport)
+	go func() { second <- c.Rollup() }()
+	// The round is recorded to history just before it is fanned out.
+	waitUntil(t, "second round recorded", func() bool {
+		rows, err := c.Query(history.Query{Targets: []target.Target{target.Machine()}})
+		return err == nil && len(rows) == 1 && rows[0].Samples == 2
+	})
+	closed := make(chan struct{})
+	go func() {
+		sub.Close()
+		close(closed)
+	}()
+	timeout := time.After(10 * time.Second)
+	select {
+	case <-closed:
+	case <-timeout:
+		t.Fatal("Close of a full Block subscription never returned")
+	}
+	select {
+	case rep := <-second:
+		if rep.Seq != 2 {
+			t.Fatalf("held rollup returned round %d, want 2", rep.Seq)
+		}
+		rep.Release()
+	case <-timeout:
+		t.Fatal("rollup held by the closed subscription never returned")
+	}
+	// Close released the buffered round too: the channel is closed and empty.
+	if _, ok := <-sub.C(); ok {
+		t.Fatal("a closed subscription must not deliver its buffered round")
+	}
+}
+
+// TestSubscribeValidation: fleet subscriptions follow the monitor's rules —
+// an undefined policy or a negative buffer is rejected, a zero buffer means
+// core.DefaultSubscriptionBuffer — and subscribing after Close fails.
+func TestSubscribeValidation(t *testing.T) {
+	c, err := New(Config{Codec: vmbridge.CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SubscribeOptions{
+		{Policy: core.BackpressurePolicy(42)},
+		{Policy: core.DropOldest, Buffer: -1},
+		{Policy: core.Block, Buffer: -1},
+	} {
+		if _, err := c.Subscribe(opts); err == nil {
+			t.Fatalf("Subscribe(%+v) should fail", opts)
+		}
+	}
+	sub, err := c.Subscribe(SubscribeOptions{Policy: core.DropOldest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < core.DefaultSubscriptionBuffer+2; i++ {
+		c.Rollup().Release()
+	}
+	stats := c.Stats().Subscriptions
+	if len(stats) != 1 || stats[0].Dropped != 2 {
+		t.Fatalf("subscription stats %+v, want 2 of %d rounds dropped from a buffer of %d",
+			stats, core.DefaultSubscriptionBuffer+2, core.DefaultSubscriptionBuffer)
+	}
+	c.Close()
+	if _, ok := <-sub.C(); ok {
+		t.Fatal("collector Close must release and close the subscription")
+	}
+	if _, err := c.Subscribe(SubscribeOptions{}); err == nil {
+		t.Fatal("Subscribe after Close should fail")
+	}
+}
+
 // TestPassiveFeed exercises the in-process feeding hooks the fleet bench is
 // built on: a passive collector dials nothing, FeedPayload pushes encoded wire
 // payloads through the real queue/worker/commit path, and NodeLastSeq is the
@@ -310,7 +398,7 @@ func TestIngestAllocationFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			n := &nodeConn{addr: "direct"}
+			n := newNodeConn("direct")
 
 			const rows = 256
 			frame := nodeFrame("bench-node", 0, 100, make([]vmbridge.TargetRow, rows))
@@ -371,7 +459,7 @@ func TestRollupAllocationFlat(t *testing.T) {
 		}
 		defer c.Close()
 		for i := 0; i < nodes; i++ {
-			n := &nodeConn{addr: fmt.Sprintf("fake-%d", i)}
+			n := newNodeConn(fmt.Sprintf("fake-%d", i))
 			frame := nodeFrame(fmt.Sprintf("node-%04d", i), 1, 50, []vmbridge.TargetRow{
 				{Key: "cgroup:web", Watts: 30},
 				{Key: fmt.Sprintf("cgroup:own-%04d", i), Watts: 20},

@@ -10,7 +10,7 @@ import (
 // embedding process plays the daemons itself, pushing encoded wire payloads
 // straight into the ingest queues. powerapi-bench drives its fleet-scale
 // cells through these hooks, so the metered path — pooled buffer, drop-oldest
-// ring, worker decode, seq-strict commit — is exactly the one a socket reader
+// queue, worker decode, seq-strict commit — is exactly the one a socket reader
 // feeds, minus the socket.
 
 // FeedPayload hands one encoded wire message — a complete binary message

@@ -11,31 +11,32 @@ import (
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/fanout"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
 	"powerapi/internal/vmbridge"
 )
 
 // Ingest is the gather half of the collector: per-node reader goroutines that
-// do nothing but blocking socket reads, per-node drop-oldest payload rings
+// do nothing but blocking socket reads, per-node drop-oldest payload queues
 // with pooled buffers, and a bounded worker pool that decodes payloads into
 // each node's retained contribution. The split keeps the expensive work (the
 // decode) on a fixed number of goroutines however many nodes are connected,
-// and the ring keeps one slow decode from backing a socket up: a node that
+// and the queue keeps one slow decode from backing a socket up: a node that
 // outpaces its drainage sheds whole payloads, oldest first — the same
 // load-shedding contract the VM bridge transports make.
 
-// payloadRingSize is the per-node ring depth. A node publishes one payload
+// payloadQueueDepth is the per-node queue depth. A node publishes one payload
 // per daemon round, so a backlog deeper than a few rounds means the workers
 // are saturated and older rounds are worthless anyway.
-const payloadRingSize = 4
+const payloadQueueDepth = 4
 
 // maxReconnectBackoff caps the exponential climb of a node link's redial
 // pause.
 const maxReconnectBackoff = 5 * time.Second
 
 // bufPool recycles payload buffers across all node links. Buffers travel as
-// *[]byte end to end — pool to ring to worker and back — so returning one
+// *[]byte end to end — pool to queue to worker and back — so returning one
 // re-uses its box instead of allocating a fresh one per payload (the classic
 // sync.Pool re-boxing leak, which would cost one heap allocation per node per
 // round and break the allocation-flat ingest claim).
@@ -52,49 +53,8 @@ type payloadItem struct {
 	wire uint8
 }
 
-// payloadRing is one node's pending-payload queue: push never blocks, evicting
-// the oldest payload (whose buffer the pusher recycles) when full.
-type payloadRing struct {
-	mu      sync.Mutex
-	items   [payloadRingSize]payloadItem
-	head, n int
-	dropped atomic.Uint64
-}
-
-// push enqueues a payload, returning the evicted oldest buffer (nil if none).
-//
-//powerapi:hotpath
-func (r *payloadRing) push(p payloadItem) (evicted *[]byte) {
-	r.mu.Lock()
-	if r.n == payloadRingSize {
-		evicted = r.items[r.head].buf
-		r.items[r.head] = payloadItem{}
-		r.head = (r.head + 1) % payloadRingSize
-		r.n--
-		r.dropped.Add(1)
-	}
-	r.items[(r.head+r.n)%payloadRingSize] = p
-	r.n++
-	r.mu.Unlock()
-	return evicted
-}
-
-// pop dequeues the oldest pending payload.
-//
-//powerapi:hotpath
-func (r *payloadRing) pop() (payloadItem, bool) {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return payloadItem{}, false
-	}
-	p := r.items[r.head]
-	r.items[r.head] = payloadItem{}
-	r.head = (r.head + 1) % payloadRingSize
-	r.n--
-	r.mu.Unlock()
-	return p, true
-}
+// dropPayload returns an evicted or discarded payload's buffer to the pool.
+func dropPayload(p payloadItem) { putBuf(p.buf) }
 
 // nodeConn is one gathered daemon link: the dial/read goroutine's state, the
 // ingest queue, and the node's retained contribution the rollup sweeps.
@@ -106,9 +66,9 @@ type nodeConn struct {
 	conn    net.Conn
 	retired bool
 
-	// Ingest queue.
-	ring   payloadRing
-	queued atomic.Bool
+	// Ingest queue: drop-oldest, evicted buffers go back to the pool.
+	payloads *fanout.Queue[payloadItem]
+	queued   atomic.Bool
 
 	// Decode scratch, guarded by drainMu (one worker drains a node at a
 	// time). building ping-pongs with the retained slices at commit, so the
@@ -196,6 +156,10 @@ type pendingFrame struct {
 	emit   time.Duration
 	round  uint64
 	trace  uint64
+}
+
+func newNodeConn(addr string) *nodeConn {
+	return &nodeConn{addr: addr, payloads: fanout.NewQueue(fanout.DropOldest, payloadQueueDepth, dropPayload)}
 }
 
 func (n *nodeConn) retire() {
@@ -291,7 +255,7 @@ func jitter(d time.Duration) time.Duration {
 	return d - spread/2 + time.Duration(rand.Int63n(int64(spread)+1))
 }
 
-// readConn pumps one live connection's payloads into the node's ring until
+// readConn pumps one live connection's payloads into the node's queue until
 // link loss. On the binary codec a payload is one length-prefixed message; on
 // JSON-lines it is one line. Buffers come from the shared pool and return to
 // it when evicted or drained.
@@ -327,25 +291,23 @@ func (c *Collector) readConn(n *nodeConn, conn net.Conn) {
 }
 
 // enqueue hands one payload to the worker pool, shedding the node's oldest
-// pending payload if its ring is full.
+// pending payload if its queue is full.
 //
 //powerapi:hotpath
 func (c *Collector) enqueue(n *nodeConn, item payloadItem) {
-	if evicted := n.ring.push(item); evicted != nil {
-		putBuf(evicted)
-	}
+	n.payloads.Offer(item)
 	if n.queued.CompareAndSwap(false, true) {
 		select {
 		case c.notify <- n:
 		default:
 			// Queue saturated (cannot happen while nodes <= cap): unmark so
-			// the next payload retries rather than stranding the ring.
+			// the next payload retries rather than stranding the queue.
 			n.queued.Store(false)
 		}
 	}
 }
 
-// worker is one ingest worker: it drains whole node rings, decoding each
+// worker is one ingest worker: it drains whole node queues, decoding each
 // payload into the node's retained contribution.
 func (c *Collector) worker() {
 	defer c.wg.Done()
@@ -357,7 +319,7 @@ func (c *Collector) worker() {
 			n.queued.Store(false)
 			n.drainMu.Lock()
 			for {
-				item, ok := n.ring.pop()
+				item, ok := n.payloads.TryPop()
 				if !ok {
 					break
 				}

@@ -76,7 +76,7 @@ func checkKeyResolution(t *testing.T, codec vmbridge.Codec, nodes int, frames []
 	defer c.Close()
 	conns := make([]*nodeConn, nodes)
 	for i := range conns {
-		conns[i] = &nodeConn{addr: fmt.Sprintf("direct-%d", i)}
+		conns[i] = newNodeConn(fmt.Sprintf("direct-%d", i))
 		c.nodesMu.Lock()
 		c.nodes = append(c.nodes, conns[i])
 		c.nodesMu.Unlock()
@@ -299,7 +299,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 		order := map[bool]string{false: "stable", true: "rotated"}[rotate]
 		b.Run("serial/"+order, func(b *testing.B) {
 			c := newCollector(b)
-			n, p := &nodeConn{addr: "direct"}, payloads("node", rotate)
+			n, p := newNodeConn("direct"), payloads("node", rotate)
 			replay(c, n, p[1])
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -315,7 +315,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				id := fmt.Sprintf("node-%d", next.Add(1))
-				n, p := &nodeConn{addr: id}, payloads(id, rotate)
+				n, p := newNodeConn(id), payloads(id, rotate)
 				for i := 0; pb.Next(); i++ {
 					replay(c, n, p[i%2])
 				}

@@ -254,7 +254,7 @@ func (c *Collector) Rollup() *FleetReport {
 	c.recordHistory(rep)
 
 	fanoutStart := c.tracer.Now()
-	c.subs.publish(rep)
+	c.subs.Publish(rep)
 	c.tracer.Record(ts, obs.StageFanout, 0, fanoutStart, c.tracer.Now())
 	c.tracer.FinishRound(ts)
 	return rep

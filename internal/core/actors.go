@@ -175,24 +175,13 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 // is stateless, so its supervisor restarts it from a fresh instance after a
 // panic.
 //
-// The model is compiled once at construction: the per-batch frequency resolves
-// to a pre-parsed formula a single time, and each target evaluates it on the
+// The model is compiled once, by New: the per-batch frequency resolves to a
+// pre-parsed formula a single time, and each target evaluates it on the
 // dense counter vector — no string parsing or map materialisation per sample.
 type formulaShardBehavior struct {
-	model    *model.CPUPowerModel
 	compiled *model.Compiled
 	mode     source.Mode
 	tracer   *obs.Tracer
-}
-
-func newFormulaShardBehavior(m *model.CPUPowerModel, mode source.Mode, tracer *obs.Tracer) *formulaShardBehavior {
-	f := &formulaShardBehavior{model: m, mode: mode, tracer: tracer}
-	// A model that validates but fails to compile falls back to the original
-	// per-sample evaluation path below.
-	if compiled, err := m.Compile(); err == nil {
-		f.compiled = compiled
-	}
-	return f
 }
 
 // Receive implements actor.Behavior.
@@ -222,7 +211,7 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 	// Resolve the round's frequency to its compiled formula once per batch
 	// instead of once per target.
 	var cf *model.CompiledFrequency
-	if counterMode && f.compiled != nil && len(batch.Samples) > 0 {
+	if counterMode && len(batch.Samples) > 0 {
 		var err error
 		if cf, err = f.compiled.ForFrequency(batch.FrequencyMHz); err != nil {
 			ctx.Publish(TopicErrors, PipelineError{
@@ -240,15 +229,12 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 		sample := &batch.Samples[i]
 		est := TargetEstimate{Target: sample.Target, Slot: sample.Slot}
 		if counterMode {
+			// A nil cf means ForFrequency failed (already reported): the
+			// estimates are zero.
 			var watts float64
 			var err error
-			switch {
-			case cf != nil:
+			if cf != nil {
 				watts, err = cf.EstimateActiveWatts(&sample.Deltas, batch.Window)
-			case f.compiled == nil:
-				watts, err = f.model.EstimateActiveWatts(batch.FrequencyMHz, sample.Deltas.Counts(), batch.Window)
-			default:
-				// ForFrequency failed (already reported); estimates are zero.
 			}
 			if err != nil {
 				ctx.Publish(TopicErrors, PipelineError{

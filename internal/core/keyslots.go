@@ -45,10 +45,3 @@ func (k *KeySlots) LookupBytes(key []byte) (int32, bool) {
 	slot, ok := k.slots[string(key)]
 	return slot, ok
 }
-
-// Key returns the key assigned to the slot. It panics on an unassigned slot,
-// matching slice indexing semantics.
-func (k *KeySlots) Key(slot int32) string { return k.keys[slot] }
-
-// Len returns how many keys have been assigned.
-func (k *KeySlots) Len() int { return len(k.keys) }

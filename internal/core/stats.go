@@ -88,7 +88,7 @@ func (p *PowerAPI) Stats() MonitorStats {
 		SlotsLive:     p.slots.size(),
 		SlotsCapacity: p.slots.capacity(),
 		TraceCapacity: p.tracer.Capacity(),
-		Subscriptions: p.subs.stats(),
+		Subscriptions: p.SubscriptionStats(),
 		ReportPool:    ReportPoolStats{Gets: gets, Misses: misses, Puts: puts, Outstanding: outstanding},
 		Stages:        p.tracer.StageStats(),
 		Round:         p.tracer.RoundStats(),

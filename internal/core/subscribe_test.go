@@ -328,25 +328,16 @@ func TestSubscribeValidation(t *testing.T) {
 	if _, err := api.Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("Subscribe after Shutdown should fail")
 	}
-	// Reports() first called after Shutdown yields one stable closed channel.
-	ch := api.Reports()
-	if api.Reports() != ch {
-		t.Fatal("post-shutdown Reports() must keep returning the same channel")
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("post-shutdown Reports() channel must be closed")
-	}
 }
 
-// TestReportsLegacyChannel is the regression test of the deprecated
-// single-channel API: Reports() returns one stable channel backed by a lazy
-// DropOldest subscription sized by WithReportBuffer, an unconsumed channel
-// never blocks the pipeline, the latest rounds survive, and Shutdown closes
-// the channel.
-func TestReportsLegacyChannel(t *testing.T) {
+// TestDropOldestHoldsNewestRounds: an unconsumed DropOldest subscription
+// never blocks the pipeline, holds exactly the newest rounds its buffer fits,
+// counts the evicted ones, and Shutdown closes its channel with those rounds
+// still receivable. Subscribing after Shutdown fails.
+func TestDropOldestHoldsNewestRounds(t *testing.T) {
 	const rounds = 6
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithReportBuffer(2))
+	api, err := New(m, testModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +345,9 @@ func TestReportsLegacyChannel(t *testing.T) {
 	if err := api.Attach(pids...); err != nil {
 		t.Fatal(err)
 	}
-	ch := api.Reports()
-	if api.Reports() != ch {
-		t.Fatal("Reports() must return the same channel on every call")
+	sub, err := api.Subscribe(SubscribeOptions{Name: "newest", Policy: DropOldest, Buffer: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Nobody consumes the channel during the run: the pipeline must not block.
 	reports, err := api.RunMonitored(rounds*time.Second, time.Second, nil)
@@ -365,23 +356,22 @@ func TestReportsLegacyChannel(t *testing.T) {
 	}
 	api.Shutdown()
 	var got []AggregatedReport
-	for r := range ch { // Shutdown closed the channel
+	for r := range sub.C() { // Shutdown closed the channel
 		got = append(got, r)
+		r.Release()
 	}
 	if len(got) != 2 {
-		t.Fatalf("legacy channel retained %d reports, want its buffer of 2", len(got))
+		t.Fatalf("subscription retained %d reports, want its buffer of 2", len(got))
 	}
 	want := reports[len(reports)-1].Timestamp
 	if got[len(got)-1].Timestamp != want {
-		t.Fatalf("legacy channel ends on %v, want the final round %v", got[len(got)-1].Timestamp, want)
+		t.Fatalf("subscription ends on %v, want the final round %v", got[len(got)-1].Timestamp, want)
 	}
-	// A second Reports call after shutdown still yields a closed channel.
-	if _, ok := <-api.Reports(); ok {
-		t.Fatal("Reports() after Shutdown should be closed")
+	if sub.Delivered() != uint64(len(reports)) || sub.Dropped() != uint64(len(reports)-2) {
+		t.Fatalf("delivered=%d dropped=%d, want %d and %d", sub.Delivered(), sub.Dropped(), len(reports), len(reports)-2)
 	}
-	// A bad buffer fails loudly at construction, never as a silent stream.
-	if _, err := New(m, testModel(), WithReportBuffer(-1)); err == nil {
-		t.Fatal("negative report buffer should fail")
+	if _, err := api.Subscribe(SubscribeOptions{Policy: DropOldest}); err == nil {
+		t.Fatal("Subscribe after Shutdown should fail")
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"powerapi/internal/fanout"
 )
 
 // maxFrameLine bounds one JSON-encoded frame on the wire; a line beyond it is
@@ -36,13 +38,12 @@ const codecHelloWait = 500 * time.Millisecond
 // connection sheds whole batches drop-oldest and is dropped on write failure;
 // it never backpressures the host pipeline.
 type TCPPublisher struct {
-	ln net.Listener
-	wg sync.WaitGroup
+	ln    net.Listener
+	wg    sync.WaitGroup
+	conns *fanout.Registry[*tcpConn, []VMPowerFrame]
 
-	mu     sync.Mutex
-	conns  map[uint64]*tcpConn
-	nextID uint64
-	closed bool
+	closeOnce sync.Once
+	closeErr  error
 
 	sent    atomic.Uint64
 	dropped atomic.Uint64
@@ -51,11 +52,13 @@ type TCPPublisher struct {
 type tcpConn struct {
 	conn    net.Conn
 	remote  string
-	batches *frameChan[[]VMPowerFrame] // batches pending for this connection, drop-oldest
-	codec   atomic.Int32               // Codec, set once negotiated
-	wire    atomic.Int32               // binary wire version, set once negotiated
-	sent    atomic.Uint64              // frames written to the wire
+	batches *fanout.Queue[[]VMPowerFrame] // batches pending for this connection, drop-oldest
+	codec   atomic.Int32                  // Codec, set once negotiated
+	wire    atomic.Int32                  // binary wire version, set once negotiated
+	sent    atomic.Uint64                 // frames written to the wire
 }
+
+func offerBatch(c *tcpConn, frames []VMPowerFrame) { c.batches.Offer(frames) }
 
 // ConnStats is the observable state of one live publisher connection, the
 // per-connection rows /metrics exposes.
@@ -82,7 +85,7 @@ func ListenTCP(addr string) (*TCPPublisher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: listen on %s: %w", addr, err)
 	}
-	p := &TCPPublisher{ln: ln, conns: make(map[uint64]*tcpConn)}
+	p := &TCPPublisher{ln: ln, conns: fanout.NewRegistry(offerBatch)}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -92,26 +95,21 @@ func ListenTCP(addr string) (*TCPPublisher, error) {
 func (p *TCPPublisher) Addr() net.Addr { return p.ln.Addr() }
 
 // Connections returns how many guests are currently connected.
-func (p *TCPPublisher) Connections() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
+func (p *TCPPublisher) Connections() int { return p.conns.Len() }
 
 // ConnStats snapshots every live connection, sorted by remote address.
 func (p *TCPPublisher) ConnStats() []ConnStats {
-	p.mu.Lock()
-	stats := make([]ConnStats, 0, len(p.conns))
-	for _, c := range p.conns {
+	conns := p.conns.Sinks()
+	stats := make([]ConnStats, 0, len(conns))
+	for _, c := range conns {
 		stats = append(stats, ConnStats{
 			Remote:         c.remote,
 			Codec:          Codec(c.codec.Load()),
 			WireVersion:    int(c.wire.Load()),
 			SentFrames:     c.sent.Load(),
-			DroppedBatches: c.batches.evicted.Load(),
+			DroppedBatches: c.batches.Dropped(),
 		})
 	}
-	p.mu.Unlock()
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Remote < stats[j].Remote })
 	return stats
 }
@@ -132,19 +130,13 @@ func (p *TCPPublisher) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String(), batches: newFrameChan[[]VMPowerFrame]()}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
+		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String(), batches: newFrameQueue[[]VMPowerFrame]()}
+		if _, err := p.conns.Add(c); err != nil {
 			conn.Close()
 			return
 		}
-		p.nextID++
-		id := p.nextID
-		p.conns[id] = c
-		p.mu.Unlock()
 		p.wg.Add(1)
-		go p.writeLoop(id, c)
+		go p.writeLoop(c)
 	}
 }
 
@@ -170,7 +162,7 @@ func negotiate(conn net.Conn) (Codec, int) {
 // writeLoop drains one connection's batch queue onto the wire — one buffered
 // write+flush per batch on either codec, so a node's whole round costs one
 // syscall. A write failure (guest went away) drops the connection.
-func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
+func (p *TCPPublisher) writeLoop(c *tcpConn) {
 	defer p.wg.Done()
 	defer c.conn.Close()
 	codec, wire := negotiate(c.conn)
@@ -178,7 +170,7 @@ func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 	c.wire.Store(int32(wire))
 	w := bufio.NewWriterSize(c.conn, 32*1024)
 	var scratch []byte // binary encoding buffer, reused across batches
-	for batch := range c.batches.ch {
+	for batch := range c.batches.C() {
 		var err error
 		written := len(batch)
 		if codec == CodecBinary {
@@ -202,7 +194,7 @@ func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 			err = w.Flush()
 		}
 		if err != nil {
-			p.dropConn(id)
+			p.dropConn(c)
 			return
 		}
 		p.sent.Add(uint64(written))
@@ -210,14 +202,10 @@ func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 	}
 }
 
-func (p *TCPPublisher) dropConn(id uint64) {
-	p.mu.Lock()
-	c, ok := p.conns[id]
-	delete(p.conns, id)
-	p.mu.Unlock()
-	if ok {
+func (p *TCPPublisher) dropConn(c *tcpConn) {
+	if _, ok := p.conns.Remove(c); ok {
 		p.dropped.Add(1)
-		c.batches.close()
+		c.batches.Close()
 		c.conn.Close()
 	}
 }
@@ -234,21 +222,11 @@ func (p *TCPPublisher) Send(frame VMPowerFrame) error {
 // publisher keeps a reference to the slice until every connection has written
 // it; the caller must not modify it after the call.
 func (p *TCPPublisher) SendBatch(frames []VMPowerFrame) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.conns.Closed() {
 		return ErrClosed
 	}
-	snapshot := make([]*tcpConn, 0, len(p.conns))
-	for _, c := range p.conns {
-		snapshot = append(snapshot, c)
-	}
-	p.mu.Unlock()
-	if len(frames) == 0 {
-		return nil
-	}
-	for _, c := range snapshot {
-		c.batches.deliver(frames)
+	if len(frames) > 0 {
+		p.conns.Publish(frames)
 	}
 	return nil
 }
@@ -256,25 +234,16 @@ func (p *TCPPublisher) SendBatch(frames []VMPowerFrame) error {
 // Close implements Transport: the listener and every connection shut down,
 // so connected guests observe link loss. It is idempotent.
 func (p *TCPPublisher) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	remaining := make([]*tcpConn, 0, len(p.conns))
-	for _, c := range p.conns {
-		remaining = append(remaining, c)
-	}
-	p.conns = make(map[uint64]*tcpConn)
-	p.mu.Unlock()
-	err := p.ln.Close()
-	for _, c := range remaining {
-		c.batches.close()
-		c.conn.Close()
-	}
-	p.wg.Wait()
-	return err
+	p.closeOnce.Do(func() {
+		remaining := p.conns.CloseAll()
+		p.closeErr = p.ln.Close()
+		for _, c := range remaining {
+			c.batches.Close()
+			c.conn.Close()
+		}
+		p.wg.Wait()
+	})
+	return p.closeErr
 }
 
 // TCPReceiver consumes the frame stream of a TCPPublisher on either codec.
@@ -284,7 +253,7 @@ func (p *TCPPublisher) Close() error {
 type TCPReceiver struct {
 	conn   net.Conn
 	codec  Codec
-	frames *frameChan[VMPowerFrame]
+	frames *fanout.Queue[VMPowerFrame]
 	wg     sync.WaitGroup
 
 	closeOnce sync.Once
@@ -314,7 +283,7 @@ func DialTCPCodec(addr string, codec Codec) (*TCPReceiver, error) {
 			return nil, fmt.Errorf("vmbridge: dial %s: send codec hello: %w", addr, err)
 		}
 	}
-	r := &TCPReceiver{conn: conn, codec: codec, frames: newFrameChan[VMPowerFrame]()}
+	r := &TCPReceiver{conn: conn, codec: codec, frames: newFrameQueue[VMPowerFrame]()}
 	r.wg.Add(1)
 	go r.readLoop()
 	return r, nil
@@ -322,9 +291,9 @@ func DialTCPCodec(addr string, codec Codec) (*TCPReceiver, error) {
 
 func (r *TCPReceiver) readLoop() {
 	defer r.wg.Done()
-	// The read loop is the only deliverer; frames.close afterwards waits out
-	// the last deliver, so consumers see every decoded frame, then the close.
-	defer r.frames.close()
+	// The read loop is the only sender; frames.Close afterwards waits out
+	// the last offer, so consumers see every decoded frame, then the close.
+	defer r.frames.Close()
 	if r.codec == CodecBinary {
 		r.readBinary()
 		return
@@ -339,7 +308,7 @@ func (r *TCPReceiver) readLoop() {
 			r.decodeErrs.Add(1)
 			continue
 		}
-		r.frames.deliver(frame)
+		r.frames.Offer(frame)
 	}
 }
 
@@ -365,13 +334,13 @@ func (r *TCPReceiver) readBinary() {
 			return
 		}
 		for _, f := range frames {
-			r.frames.deliver(f)
+			r.frames.Offer(f)
 		}
 	}
 }
 
 // Frames implements Receiver.
-func (r *TCPReceiver) Frames() <-chan VMPowerFrame { return r.frames.ch }
+func (r *TCPReceiver) Frames() <-chan VMPowerFrame { return r.frames.C() }
 
 // Codec returns the wire encoding this receiver negotiated.
 func (r *TCPReceiver) Codec() Codec { return r.codec }
@@ -381,7 +350,7 @@ func (r *TCPReceiver) DecodeErrors() uint64 { return r.decodeErrs.Load() }
 
 // DroppedFrames returns how many decoded frames the receiver's buffer evicted
 // unread (a consumer slower than the wire).
-func (r *TCPReceiver) DroppedFrames() uint64 { return r.frames.evicted.Load() }
+func (r *TCPReceiver) DroppedFrames() uint64 { return r.frames.Dropped() }
 
 // Close implements Receiver: the connection closes and the Frames channel
 // closes once the read loop drains. It is idempotent.

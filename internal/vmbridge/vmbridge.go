@@ -22,9 +22,9 @@ package vmbridge
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"powerapi/internal/fanout"
 )
 
 // VMPowerFrame is one delegated power figure: the host-side estimate of one
@@ -124,56 +124,10 @@ var ErrClosed = errors.New("vmbridge: transport is closed")
 // holds only a bounded backlog before drop-oldest kicks in.
 const frameBuffer = 64
 
-// frameChan is a drop-oldest queue shared by the transports — of frames on
-// the receiver side, of whole batches on the publisher side: the sender-side
-// deliver never blocks (it evicts the oldest unread element to make room) and
-// close is race-free against an in-flight deliver, the same send-mutex +
-// done-channel handshake the monitor's subscription fanout uses.
-type frameChan[T any] struct {
-	ch        chan T
-	done      chan struct{}
-	sendMu    sync.Mutex
-	closeOnce sync.Once
-	evicted   atomic.Uint64
-}
-
-func newFrameChan[T any]() *frameChan[T] {
-	return &frameChan[T]{ch: make(chan T, frameBuffer), done: make(chan struct{})}
-}
-
-// deliver enqueues one element, evicting the oldest unread one when the
-// buffer is full. Safe against a concurrent close; only one goroutine may
-// deliver.
-func (f *frameChan[T]) deliver(v T) {
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	select {
-	case <-f.done:
-		return
-	default:
-	}
-	for {
-		select {
-		case f.ch <- v:
-			return
-		default:
-		}
-		select {
-		case <-f.ch:
-			f.evicted.Add(1)
-		default:
-		}
-	}
-}
-
-// close closes the frame channel once, waiting out any deliver in flight.
-func (f *frameChan[T]) close() {
-	f.closeOnce.Do(func() {
-		close(f.done)
-		f.sendMu.Lock()
-		close(f.ch)
-		f.sendMu.Unlock()
-	})
+// newFrameQueue returns one bounded drop-oldest link queue: of frames on the
+// receiver side, of whole batches on the publisher side.
+func newFrameQueue[T any]() *fanout.Queue[T] {
+	return fanout.NewQueue[T](fanout.DropOldest, frameBuffer, nil)
 }
 
 // Loopback is the in-process transport: Send fans every frame out to every
@@ -181,50 +135,31 @@ func (f *frameChan[T]) close() {
 // when both instances live in one process (tests, examples, simulated
 // guests).
 type Loopback struct {
-	mu        sync.Mutex
-	receivers map[uint64]*loopbackReceiver
-	nextID    uint64
-	closed    bool
+	receivers *fanout.Registry[*fanout.Queue[VMPowerFrame], VMPowerFrame]
 }
 
 // NewLoopback creates an in-process bridge transport with no receivers yet.
 func NewLoopback() *Loopback {
-	return &Loopback{receivers: make(map[uint64]*loopbackReceiver)}
+	return &Loopback{receivers: fanout.NewRegistry((*fanout.Queue[VMPowerFrame]).Offer)}
 }
 
 // NewReceiver attaches one receiver to the loopback; every subsequent Send
 // reaches it. A receiver created after Close is already closed (its Frames
 // channel is closed), mirroring a dial against a dead link.
 func (l *Loopback) NewReceiver() Receiver {
-	r := &loopbackReceiver{hub: l, frames: newFrameChan[VMPowerFrame]()}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		r.frames.close()
-		return r
+	r := &loopbackReceiver{hub: l, frames: newFrameQueue[VMPowerFrame]()}
+	if _, err := l.receivers.Add(r.frames); err != nil {
+		r.frames.Close()
 	}
-	l.nextID++
-	r.id = l.nextID
-	l.receivers[r.id] = r
-	l.mu.Unlock()
 	return r
 }
 
 // Send implements Transport.
 func (l *Loopback) Send(frame VMPowerFrame) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.receivers.Closed() {
 		return ErrClosed
 	}
-	snapshot := make([]*loopbackReceiver, 0, len(l.receivers))
-	for _, r := range l.receivers {
-		snapshot = append(snapshot, r)
-	}
-	l.mu.Unlock()
-	for _, r := range snapshot {
-		r.frames.deliver(frame)
-	}
+	l.receivers.Publish(frame)
 	return nil
 }
 
@@ -242,35 +177,24 @@ func (l *Loopback) SendBatch(frames []VMPowerFrame) error {
 // Close implements Transport: every receiver's Frames channel closes (link
 // loss) and further Sends fail. It is idempotent.
 func (l *Loopback) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	remaining := make([]*loopbackReceiver, 0, len(l.receivers))
-	for _, r := range l.receivers {
-		remaining = append(remaining, r)
-	}
-	l.receivers = make(map[uint64]*loopbackReceiver)
-	l.mu.Unlock()
-	for _, r := range remaining {
-		r.frames.close()
+	for _, frames := range l.receivers.CloseAll() {
+		frames.Close()
 	}
 	return nil
 }
 
 type loopbackReceiver struct {
 	hub    *Loopback
-	id     uint64
-	frames *frameChan[VMPowerFrame]
+	frames *fanout.Queue[VMPowerFrame]
 }
 
 // Frames implements Receiver.
-func (r *loopbackReceiver) Frames() <-chan VMPowerFrame { return r.frames.ch }
+func (r *loopbackReceiver) Frames() <-chan VMPowerFrame { return r.frames.C() }
 
 // Close implements Receiver: the receiver detaches from the loopback and its
 // Frames channel closes.
 func (r *loopbackReceiver) Close() error {
-	r.hub.mu.Lock()
-	delete(r.hub.receivers, r.id)
-	r.hub.mu.Unlock()
-	r.frames.close()
+	r.hub.receivers.Remove(r.frames)
+	r.frames.Close()
 	return nil
 }
