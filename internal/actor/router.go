@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // RouterStrategy selects how a Router picks the child for a keyed message.
@@ -122,11 +121,6 @@ func (r *Router) Broadcast(msg Message) int {
 		}
 	}
 	return delivered
-}
-
-// Ask performs a request/reply exchange with the child owning the key.
-func (r *Router) Ask(key uint64, build func(reply chan<- Message) Message, timeout time.Duration) (Message, error) {
-	return Ask(r.ShardFor(key), build, timeout)
 }
 
 func hashString(s string) uint64 {

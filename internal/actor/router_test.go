@@ -2,7 +2,6 @@ package actor
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -172,46 +171,4 @@ func TestRouterBroadcast(t *testing.T) {
 	if delivered := r.Broadcast("tick"); delivered != 0 {
 		t.Fatalf("Broadcast after shutdown delivered to %d children", delivered)
 	}
-}
-
-func TestRouterAskRoutesToOwner(t *testing.T) {
-	s := NewSystem("test")
-	defer s.Shutdown()
-	refs := make([]*Ref, 4)
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("echo-%d", i)
-		ref, err := s.Spawn(name, BehaviorFunc(func(_ *Context, msg Message) {
-			if req, ok := msg.(askReq); ok {
-				req.reply <- name
-			}
-		}), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = ref
-	}
-	r, err := NewRouter(ConsistentHash, refs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	owners := make(map[uint64]string)
-	for key := uint64(0); key < 50; key++ {
-		reply, err := r.Ask(key, func(reply chan<- Message) Message {
-			return askReq{reply: reply}
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		owners[key] = reply.(string)
-		mu.Unlock()
-		if want := r.ShardFor(key).Name(); reply.(string) != want {
-			t.Fatalf("key %d answered by %v, want %s", key, reply, want)
-		}
-	}
-}
-
-type askReq struct {
-	reply chan<- Message
 }

@@ -143,55 +143,6 @@ func TestSpawnSupervisedValidation(t *testing.T) {
 	}
 }
 
-func TestAskReplies(t *testing.T) {
-	s := NewSystem("test")
-	defer s.Shutdown()
-	ref, err := s.Spawn("doubler", BehaviorFunc(func(_ *Context, msg Message) {
-		if req, ok := msg.(askReq); ok {
-			req.reply <- 42
-		}
-	}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Ask(ref, func(reply chan<- Message) Message { return askReq{reply: reply} }, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Fatalf("Ask reply = %v, want 42", got)
-	}
-}
-
-func TestAskTimeout(t *testing.T) {
-	s := NewSystem("test")
-	defer s.Shutdown()
-	ref, err := s.Spawn("mute", BehaviorFunc(func(*Context, Message) {}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Ask(ref, func(reply chan<- Message) Message { return askReq{reply: reply} }, 20*time.Millisecond)
-	if !errors.Is(err, ErrAskTimeout) {
-		t.Fatalf("Ask to a mute actor = %v, want ErrAskTimeout", err)
-	}
-}
-
-func TestAskValidationAndStopped(t *testing.T) {
-	if _, err := Ask(nil, func(chan<- Message) Message { return nil }, 0); err == nil {
-		t.Fatal("nil target should fail")
-	}
-	s := NewSystem("test")
-	ref, _ := s.Spawn("a", BehaviorFunc(func(*Context, Message) {}), 0)
-	if _, err := Ask(ref, nil, 0); err == nil {
-		t.Fatal("nil builder should fail")
-	}
-	s.Shutdown()
-	_, err := Ask(ref, func(reply chan<- Message) Message { return askReq{reply: reply} }, time.Second)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Ask to stopped actor = %v, want ErrStopped", err)
-	}
-}
-
 // TestEventBusConcurrentSubscribeUnsubscribe exercises the bus under -race:
 // subscribers come and go while publishers fan out messages.
 func TestEventBusConcurrentSubscribeUnsubscribe(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"powerapi/internal/actor"
@@ -16,11 +17,12 @@ import (
 // sensorShardBehavior monitors the targets routed to one shard of the Sensor
 // pool through a pluggable attribution source; shard 0 additionally owns the
 // machine-scope source of the sensing mode (RAPL, utilisation proxy) when
-// one exists. All state is owned by the actor goroutine; attach/detach flow
-// through the mailbox (via actor.Ask) and a tick makes the shard publish one
-// batched report for all its targets.
+// one exists. A tick makes the shard publish one batched report for all its
+// targets. Attach and detach are direct calls from the facade, not messages:
+// mu serialises them with the part of a tick that reads the attribution
+// source and the slot maps, so a membership change costs an uncontended lock
+// instead of a mailbox round trip.
 type sensorShardBehavior struct {
-	attr          source.Source // per-target attribution source, owned by this shard
 	total         source.Source // machine-scope source (shard 0 only, may be nil)
 	shard         int
 	shards        int
@@ -28,6 +30,9 @@ type sensorShardBehavior struct {
 	sampleTimeout time.Duration
 	tracer        *obs.Tracer
 
+	// mu guards the attribution source's target set and the slot maps.
+	mu   sync.Mutex
+	attr source.Source // per-target attribution source, owned by this shard
 	// pidSlots/otherSlots remember the round slot (+1; 0 means none) the
 	// facade assigned to each attached target, so every tick can stamp the
 	// source's samples without the facade on the hot path.
@@ -52,10 +57,6 @@ func newSensorShardBehavior(attr, total source.Source, shard, shards int, sample
 // Receive implements actor.Behavior.
 func (s *sensorShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
-	case attachRequest:
-		m.Reply <- s.attach(m)
-	case detachRequest:
-		m.Reply <- s.detach(m.Target)
 	case tickRequest:
 		s.tick(ctx, m)
 	default:
@@ -66,29 +67,38 @@ func (s *sensorShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-func (s *sensorShardBehavior) attach(req attachRequest) error {
+// attach starts sampling t and remembers its round slot (negative: none). It
+// runs on the caller's goroutine.
+func (s *sensorShardBehavior) attach(t target.Target, slot int32) error {
 	dyn, ok := s.attr.(source.Dynamic)
 	if !ok {
 		return fmt.Errorf("core: %s source does not support attaching targets", s.attr.Name())
 	}
-	if err := dyn.Add(req.Target); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//powerapi:allow locklint the shard owns its source; mu exists to serialise the source's calls
+	if err := dyn.Add(t); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if req.Slot >= 0 {
-		if req.Target.Kind == target.KindProcess {
-			s.pidSlots[req.Target.PID] = req.Slot + 1
+	if slot >= 0 {
+		if t.Kind == target.KindProcess {
+			s.pidSlots[t.PID] = slot + 1
 		} else {
-			s.otherSlots[req.Target] = req.Slot + 1
+			s.otherSlots[t] = slot + 1
 		}
 	}
 	return nil
 }
 
+// detach stops sampling t. It runs on the caller's goroutine.
 func (s *sensorShardBehavior) detach(t target.Target) error {
 	dyn, ok := s.attr.(source.Dynamic)
 	if !ok {
 		return fmt.Errorf("core: %s source does not support detaching targets", s.attr.Name())
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//powerapi:allow locklint the shard owns its source; mu exists to serialise the source's calls
 	if err := dyn.Remove(t); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -98,6 +108,26 @@ func (s *sensorShardBehavior) detach(t target.Target) error {
 		delete(s.otherSlots, t)
 	}
 	return nil
+}
+
+// sampleAttributed samples the attribution source and stamps each sample
+// with its round slot, under mu so no attach or detach lands in between. A
+// target the facade never assigned a slot (a custom source emitting extra
+// targets) keeps 0 and flows through the aggregator's map fallback.
+func (s *sensorShardBehavior) sampleAttributed(ctx context.Context) (source.Sample, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//powerapi:allow locklint the shard owns its source; mu exists to serialise the source's calls
+	sample, err := s.attr.Sample(ctx)
+	for i := range sample.Targets {
+		ts := &sample.Targets[i]
+		if ts.Target.Kind == target.KindProcess {
+			ts.Slot = s.pidSlots[ts.Target.PID]
+		} else {
+			ts.Slot = s.otherSlots[ts.Target]
+		}
+	}
+	return sample, err
 }
 
 // tick samples the shard's sources and publishes ONE batch. An idle shard
@@ -117,7 +147,7 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 	// the shard's mailbox forever.
 	sampleCtx, cancel := context.WithTimeout(context.Background(), s.sampleTimeout)
 	defer cancel()
-	sample, err := s.attr.Sample(sampleCtx)
+	sample, err := s.sampleAttributed(sampleCtx)
 	if err != nil {
 		// The sample stays usable on partial failures; surface the error
 		// either way.
@@ -131,17 +161,6 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 	// count and hands the slice over (it never reuses it), so the batch can
 	// adopt it wholesale instead of reallocating and copying per tick.
 	batch.Samples = sample.Targets
-	// Stamp each sample with its round slot; a target the facade never
-	// assigned one (a custom source emitting extra targets) keeps 0 and flows
-	// through the aggregator's map fallback.
-	for i := range batch.Samples {
-		ts := &batch.Samples[i]
-		if ts.Target.Kind == target.KindProcess {
-			ts.Slot = s.pidSlots[ts.Target.PID]
-		} else {
-			ts.Slot = s.otherSlots[ts.Target]
-		}
-	}
 	if s.total != nil {
 		ts, err := s.total.Sample(sampleCtx)
 		if err != nil {
@@ -363,9 +382,10 @@ func (a *aggregatorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 		putEstimateSlice(m.Estimates)
 		round.batches++
 		if round.batches >= m.NumShards {
-			a.finish(ctx, m.Timestamp, round)
+			a.finish(ctx, m.Timestamp, m.Shard, traceStart, round)
+		} else {
+			a.tracer.Record(m.Timestamp, obs.StageAggregate, m.Shard, traceStart, a.tracer.Now())
 		}
-		a.tracer.Record(m.Timestamp, obs.StageAggregate, m.Shard, traceStart, a.tracer.Now())
 		a.tracer.SetPendingRounds(len(a.pending))
 	default:
 		ctx.Publish(TopicErrors, PipelineError{
@@ -480,7 +500,10 @@ func (a *aggregatorBehavior) merge(ctx *actor.Context, round *roundState, est *T
 	}
 }
 
-func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round *roundState) {
+// finish publishes a completed round. It stamps the last shard's aggregate
+// span (begun at traceStart) before publishing, so the span has landed by the
+// time the round's Collect returns.
+func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, shard int, traceStart int64, round *roundState) {
 	report := &round.buf.report
 	// The raw measurement is surfaced in every mode: a custom machine-scope
 	// source plugged into the formula-driven pipeline still reports what it
@@ -578,6 +601,7 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 	// kept out of TotalWatts (the simulated machine's figure).
 	report.SelfWatts = a.self.Sample()
 	a.prevPIDs = len(report.PerPID)
+	a.tracer.Record(ts, obs.StageAggregate, shard, traceStart, a.tracer.Now())
 	// The published copy carries the round's lease with one reference, owned
 	// by the reports topic's consumer (the facade's fanout releases it after
 	// delivering to every subscription). With no consumer the round strands

@@ -18,7 +18,11 @@ import (
 // not pin 100k slots forever.
 //
 // The facade mutates the index under its own lock ordering (assign before the
-// shard attach, release after the shard detach); the aggregator only reads.
+// shard attach, retire after the shard detach); the aggregator only reads. A
+// detach can land while a round is in flight, after its shard stamped the
+// target's sample, so a retired slot keeps its owner and stays out of reuse
+// and compaction until recycle, which Collect calls before the next round's
+// tick, once the previous round has been materialised.
 type slotIndex struct {
 	mu sync.RWMutex
 	// pidSlots indexes process targets by raw PID (the common case — integer
@@ -31,7 +35,8 @@ type slotIndex struct {
 	targets []target.Target
 	used    []bool
 	free    []int32 // LIFO freelist of released slots below len(targets)
-	count   int     // slots currently in use
+	retired []int32 // slots retired since the last recycle, still used
+	count   int     // slots currently assigned to a target
 }
 
 func newSlotIndex() *slotIndex {
@@ -70,25 +75,64 @@ func (ix *slotIndex) assign(t target.Target) (int32, bool) {
 	return slot, false
 }
 
-// release frees the slot of t (a no-op for unknown targets) and compacts the
-// trailing run of free slots so the index capacity tracks the live set.
+// release frees the slot of t at once (a no-op for unknown targets) and
+// compacts the trailing run of free slots so the index capacity tracks the
+// live set. Only a slot no round has seen may be released this way.
 func (ix *slotIndex) release(t target.Target) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if slot, ok := ix.unmapLocked(t); ok {
+		ix.used[slot] = false
+		ix.free = append(ix.free, slot)
+		ix.compactLocked()
+	}
+}
+
+// retire forgets the slot of t (a no-op for unknown targets) but keeps it
+// used by its last owner until the next recycle, so a round already in
+// flight still materialises the target's sample.
+func (ix *slotIndex) retire(t target.Target) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if slot, ok := ix.unmapLocked(t); ok {
+		ix.retired = append(ix.retired, slot)
+	}
+}
+
+// recycle frees every retired slot and compacts. Callers guarantee no round
+// stamped before the retirements is still in flight.
+func (ix *slotIndex) recycle() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if len(ix.retired) == 0 {
+		return
+	}
+	for _, slot := range ix.retired {
+		ix.used[slot] = false
+	}
+	ix.free = append(ix.free, ix.retired...)
+	ix.retired = ix.retired[:0]
+	ix.compactLocked()
+}
+
+// unmapLocked removes t's key and returns the slot it held.
+func (ix *slotIndex) unmapLocked(t target.Target) (int32, bool) {
 	slot, ok := ix.lookupLocked(t)
 	if !ok {
-		return
+		return 0, false
 	}
 	if t.Kind == target.KindProcess {
 		delete(ix.pidSlots, t.PID)
 	} else {
 		delete(ix.otherSlots, t)
 	}
-	ix.used[slot] = false
 	ix.count--
-	ix.free = append(ix.free, slot)
-	// Compaction: drop every trailing free slot. The freelist is filtered in
-	// the same pass, so it never hands out a slot beyond the shrunk capacity.
+	return slot, true
+}
+
+// compactLocked drops every trailing free slot. The freelist is filtered in
+// the same pass, so it never hands out a slot beyond the shrunk capacity.
+func (ix *slotIndex) compactLocked() {
 	n := len(ix.used)
 	for n > 0 && !ix.used[n-1] {
 		n--

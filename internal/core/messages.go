@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"time"
 
-	"powerapi/internal/actor"
 	"powerapi/internal/source"
 	"powerapi/internal/target"
 )
@@ -76,22 +75,6 @@ type tickRequest struct {
 	Timestamp time.Duration
 	// Window is the simulated duration covered since the previous round.
 	Window time.Duration
-}
-
-// attachRequest asks a Sensor shard to start monitoring a target. It is sent
-// through actor.Ask; Reply receives nil on success or the error encountered.
-// Slot is the dense round slot the facade's slot index assigned to the target;
-// the shard remembers it and stamps every sample of the target with it.
-type attachRequest struct {
-	Target target.Target
-	Slot   int32
-	Reply  chan<- actor.Message
-}
-
-// detachRequest asks a Sensor shard to stop monitoring a target.
-type detachRequest struct {
-	Target target.Target
-	Reply  chan<- actor.Message
 }
 
 // SensorSample is one monitored target within a SensorReportBatch. It is the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -298,8 +299,8 @@ type PowerAPI struct {
 	model          *model.CPUPowerModel
 	system         *actor.System
 	sensors        *actor.Router
+	sensorShards   []*sensorShardBehavior // sensors' behaviours, in router order
 	slots          *slotIndex
-	shards         int
 	mode           source.Mode
 	collectTimeout time.Duration
 	sources        []source.Source
@@ -339,8 +340,10 @@ type PowerAPI struct {
 	// contains them. A PID present in both stays attached until it leaves both.
 	monitored map[target.Target]bool
 	members   map[int]bool
-	// groupsEpoch counts the cgroup and VM targets entering or leaving
-	// monitored, the changes that move the set of members.
+	// groups holds the cgroup and VM targets of monitored in sorted order;
+	// groupsEpoch counts them entering or leaving, the changes that move the
+	// set of members.
+	groups      []target.Target
 	groupsEpoch uint64
 	// synced is the reading taken before this monitor's last successful
 	// membership sync; syncCgroupsLocked does nothing while it still matches.
@@ -418,7 +421,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		model:          powerModel,
 		system:         actor.NewSystem("powerapi"),
 		slots:          newSlotIndex(),
-		shards:         cfg.shards,
 		mode:           cfg.mode,
 		collectTimeout: cfg.collectTimeout,
 		hierarchy:      cfg.hierarchy,
@@ -541,6 +543,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		sensorRefs[i] = sensor
+		api.sensorShards = append(api.sensorShards, sensorShard)
 	}
 	sensors, err := actor.NewRouter(actor.ConsistentHash, sensorRefs...)
 	if err != nil {
@@ -730,17 +733,21 @@ func sortedVMDefs(vms map[string]VMDef) []VMDef {
 	return out
 }
 
-// fanout runs on the Reporter actor goroutine: it completes the waiter of a
-// synchronous Collect (first, so a slow subscriber cannot delay the round's
-// own caller) and then publishes the report to every live subscription.
+// fanout runs on the Reporter actor goroutine: it publishes the report to
+// every live subscription, stamps the round's trace and only then completes
+// the waiter of a synchronous Collect, so a returned Collect finds its round
+// trace complete. Publishing blocks only on a full Block subscription, which
+// would stall the next round anyway.
 func (p *PowerAPI) fanout(report AggregatedReport) {
 	traceStart := p.tracer.Now()
 	ts := report.Timestamp
 	p.collectMu.Lock()
-	if waiter, ok := p.collectWaiters[report.Timestamp]; ok {
-		delete(p.collectWaiters, report.Timestamp)
-		report.retain()  // the Collect caller's reference (released at its next Collect)
-		waiter <- report // buffered one deep; the fanout is the only sender
+	waiter, ok := p.collectWaiters[ts]
+	var held AggregatedReport // the Collect caller's reference (released at its next Collect)
+	if ok {
+		delete(p.collectWaiters, ts)
+		held = report
+		held.retain()
 	}
 	p.collectMu.Unlock()
 	p.subs.Publish(report) // each delivered channel send holds its own reference
@@ -749,6 +756,9 @@ func (p *PowerAPI) fanout(report AggregatedReport) {
 	// The fanout is the last synchronous stage: every consumer holds the
 	// round now, so this stamp is the round's end-to-end duration.
 	p.tracer.FinishRound(ts)
+	if ok {
+		waiter <- held // buffered one deep; the fanout is the only sender
+	}
 }
 
 // recordError surfaces a failure through the pipeline's error counter and
@@ -840,12 +850,12 @@ func (p *PowerAPI) Model() *model.CPUPowerModel { return p.model }
 func (p *PowerAPI) ActorNames() []string { return p.system.ActorNames() }
 
 // Shards returns the size of the Sensor/Formula shard pools.
-func (p *PowerAPI) Shards() int { return p.shards }
+func (p *PowerAPI) Shards() int { return len(p.sensorShards) }
 
 // SourceMode returns the sensing mode of the pipeline.
 func (p *PowerAPI) SourceMode() source.Mode { return p.mode }
 
-// CollectTimeout returns the wall-clock budget of synchronous operations.
+// CollectTimeout returns the wall-clock budget of a synchronous Collect round.
 func (p *PowerAPI) CollectTimeout() time.Duration { return p.collectTimeout }
 
 // ShardOf returns the index of the Sensor shard a PID is routed to.
@@ -930,11 +940,17 @@ func (p *PowerAPI) LastError() error {
 
 // Attach starts monitoring the given PIDs.
 func (p *PowerAPI) Attach(pids ...int) error {
-	targets := make([]target.Target, len(pids))
-	for i, pid := range pids {
-		targets[i] = target.Process(pid)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return errors.New("core: powerapi is shut down")
 	}
-	return p.AttachTargets(targets...)
+	for _, pid := range pids {
+		if err := p.attachLocked(target.Process(pid)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AttachTargets starts monitoring the given targets. Process targets are
@@ -950,62 +966,89 @@ func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 		return errors.New("core: powerapi is shut down")
 	}
 	for _, t := range targets {
-		if !t.Valid() {
-			return fmt.Errorf("core: invalid target %v", t)
-		}
-		switch t.Kind {
-		case target.KindProcess:
-			if err := p.askAttach(t); err != nil {
-				return err
-			}
-			p.monitored[t] = true
-		case target.KindCgroup:
-			if p.attrScope == source.ScopeCgroup {
-				// The attribution source samples whole groups as single units,
-				// weighting each by its recursive members — so monitoring a
-				// group alongside one of its ancestors would count the nested
-				// members twice, once per unit. Reject the overlap instead of
-				// quietly skewing the attribution.
-				for other := range p.monitored {
-					if other.Kind == target.KindCgroup && cgroupPathsOverlap(other.Path, t.Path) {
-						return fmt.Errorf("core: cannot attach %v: it overlaps monitored %v (a cgroup-scope source would double-count the nested members)", t, other)
-					}
-				}
-				if err := p.askAttach(t); err != nil {
-					return err
-				}
-				p.monitored[t] = true
-				continue
-			}
-			if p.hierarchy == nil {
-				return fmt.Errorf("core: cannot attach %v: no cgroup hierarchy configured (WithCgroups)", t)
-			}
-			if !p.hierarchy.Exists(t.Path) {
-				return fmt.Errorf("core: cannot attach %v: no such cgroup", t)
-			}
-			p.monitored[t] = true
-			p.groupsEpoch++
-			if err := p.syncCgroupsLocked(); err != nil {
-				return err
-			}
-		case target.KindVM:
-			def, ok := p.vms[t.Name]
-			if !ok {
-				return fmt.Errorf("core: cannot attach %v: no such VM (WithVMs)", t)
-			}
-			if def.cgroupBacked() && !p.hierarchy.Exists(def.CgroupPath) {
-				return fmt.Errorf("core: cannot attach %v: no such cgroup %q", t, def.CgroupPath)
-			}
-			p.monitored[t] = true
-			p.groupsEpoch++
-			if err := p.syncCgroupsLocked(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: cannot attach %v: the machine is monitored through the pipeline's machine-scope source", t)
+		if err := p.attachLocked(t); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// attachLocked attaches one target. Callers hold p.mu.
+func (p *PowerAPI) attachLocked(t target.Target) error {
+	if !t.Valid() {
+		return fmt.Errorf("core: invalid target %v", t)
+	}
+	switch t.Kind {
+	case target.KindProcess:
+		if err := p.attachShard(t); err != nil {
+			return err
+		}
+		p.monitored[t] = true
+	case target.KindCgroup:
+		if p.attrScope == source.ScopeCgroup {
+			// The attribution source samples whole groups as single units,
+			// weighting each by its recursive members — so monitoring a
+			// group alongside one of its ancestors would count the nested
+			// members twice, once per unit. Reject the overlap instead of
+			// quietly skewing the attribution.
+			for _, other := range p.groups {
+				if other.Kind == target.KindCgroup && cgroupPathsOverlap(other.Path, t.Path) {
+					return fmt.Errorf("core: cannot attach %v: it overlaps monitored %v (a cgroup-scope source would double-count the nested members)", t, other)
+				}
+			}
+			if err := p.attachShard(t); err != nil {
+				return err
+			}
+			p.addGroup(t)
+			return nil
+		}
+		if p.hierarchy == nil {
+			return fmt.Errorf("core: cannot attach %v: no cgroup hierarchy configured (WithCgroups)", t)
+		}
+		if !p.hierarchy.Exists(t.Path) {
+			return fmt.Errorf("core: cannot attach %v: no such cgroup", t)
+		}
+		p.addGroup(t)
+		return p.syncCgroupsLocked()
+	case target.KindVM:
+		def, ok := p.vms[t.Name]
+		if !ok {
+			return fmt.Errorf("core: cannot attach %v: no such VM (WithVMs)", t)
+		}
+		if def.cgroupBacked() && !p.hierarchy.Exists(def.CgroupPath) {
+			return fmt.Errorf("core: cannot attach %v: no such cgroup %q", t, def.CgroupPath)
+		}
+		p.addGroup(t)
+		return p.syncCgroupsLocked()
+	default:
+		return fmt.Errorf("core: cannot attach %v: the machine is monitored through the pipeline's machine-scope source", t)
+	}
+	return nil
+}
+
+// addGroup and removeGroup record a cgroup or VM target entering or leaving
+// monitored. groups keeps those few targets apart from the process targets,
+// in sorted order, so the overlap check and the membership sync never walk
+// every monitored PID and attach members in a deterministic order.
+func (p *PowerAPI) addGroup(t target.Target) {
+	p.monitored[t] = true
+	if i, found := slices.BinarySearchFunc(p.groups, t, compareTargets); !found {
+		p.groups = slices.Insert(p.groups, i, t)
+		p.groupsEpoch++
+	}
+}
+
+func (p *PowerAPI) removeGroup(t target.Target) {
+	delete(p.monitored, t)
+	if i, found := slices.BinarySearchFunc(p.groups, t, compareTargets); found {
+		p.groups = slices.Delete(p.groups, i, i+1)
+		p.groupsEpoch++
+	}
+}
+
+// compareTargets orders the cgroup and VM targets of groups.
+func compareTargets(a, b target.Target) int {
+	return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Path, b.Path), strings.Compare(a.Name, b.Name))
 }
 
 // cgroupPathsOverlap reports whether one hierarchy path is the other (or an
@@ -1017,53 +1060,47 @@ func cgroupPathsOverlap(a, b string) bool {
 	return strings.HasPrefix(a, b+cgroup.Separator) || strings.HasPrefix(b, a+cgroup.Separator)
 }
 
-// askAttach is the single choke point for attaching a target to its sensor
+// attachShard is the single choke point for attaching a target to its sensor
 // shard: it assigns the target's dense round slot first, so the shard can
 // stamp every sample with it, and gives a newly-assigned slot back if the
-// shard rejects the attach.
-func (p *PowerAPI) askAttach(t target.Target) error {
+// shard rejects the attach. The shard's source runs on the caller's
+// goroutine, outside the shard actor's supervisor, so a panic in it is
+// recovered here: the attach fails and the panic is counted like any other
+// pipeline error.
+func (p *PowerAPI) attachShard(t target.Target) (err error) {
 	slot, existed := p.slots.assign(t)
-	res, err := p.sensors.Ask(t.RouteKey(), func(reply chan<- actor.Message) actor.Message {
-		return attachRequest{Target: t, Slot: slot, Reply: reply}
-	}, p.collectTimeout)
-	if err != nil {
-		if !existed {
+	defer func() {
+		if v := recover(); v != nil {
+			err = p.sourcePanicked("attach", t, v)
+		}
+		if err != nil && !existed {
 			p.slots.release(t)
 		}
-		return fmt.Errorf("core: %w", err)
-	}
-	if aerr := asError(res); aerr != nil {
-		if !existed {
-			p.slots.release(t)
+	}()
+	return p.sensorShards[p.ShardOfTarget(t)].attach(t, slot)
+}
+
+// detachShard detaches a target from its sensor shard and only then retires
+// its round slot, so no later sample is stamped with it and a round already
+// in flight still resolves it to this target.
+func (p *PowerAPI) detachShard(t target.Target) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = p.sourcePanicked("detach", t, v)
 		}
-		return aerr
+	}()
+	if err := p.sensorShards[p.ShardOfTarget(t)].detach(t); err != nil {
+		return err
 	}
+	p.slots.retire(t)
 	return nil
 }
 
-func (p *PowerAPI) askDetach(t target.Target) error {
-	res, err := p.sensors.Ask(t.RouteKey(), func(reply chan<- actor.Message) actor.Message {
-		return detachRequest{Target: t, Reply: reply}
-	}, p.collectTimeout)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if aerr := asError(res); aerr != nil {
-		return aerr
-	}
-	p.slots.release(t)
-	return nil
-}
-
-// asError converts an Ask reply carrying an error (or nil) back to an error.
-func asError(msg actor.Message) error {
-	if msg == nil {
-		return nil
-	}
-	err, ok := msg.(error)
-	if !ok {
-		return fmt.Errorf("core: unexpected reply %T", msg)
-	}
+// sourcePanicked records a panic raised by an attribution source during an
+// attach or detach and returns it as the call's error.
+func (p *PowerAPI) sourcePanicked(op string, t target.Target, v any) error {
+	err := fmt.Errorf("core: %s %v: source panicked: %v", op, t, v)
+	p.recordError(err)
 	return err
 }
 
@@ -1092,24 +1129,22 @@ func (p *PowerAPI) DetachTargets(targets ...target.Target) error {
 		switch {
 		case t.Kind == target.KindProcess:
 			if !p.members[t.PID] { // otherwise still a member of a monitored cgroup
-				if err := p.askDetach(t); err != nil {
+				if err := p.detachShard(t); err != nil {
 					return err
 				}
 				p.dropHistory(t)
 			}
 			delete(p.monitored, t)
 		case t.Kind == target.KindCgroup && p.attrScope == source.ScopeCgroup:
-			if err := p.askDetach(t); err != nil {
+			if err := p.detachShard(t); err != nil {
 				return err
 			}
-			delete(p.monitored, t)
+			p.removeGroup(t)
 			p.dropHistory(t)
 		default:
-			delete(p.monitored, t)
-			p.groupsEpoch++
+			p.removeGroup(t)
 			if err := p.syncCgroupsLocked(); err != nil {
-				p.monitored[t] = true // restore so the detach can be retried
-				p.groupsEpoch++
+				p.addGroup(t) // restore so the detach can be retried
 				return err
 			}
 			p.dropHistory(t)
@@ -1188,18 +1223,27 @@ func (p *PowerAPI) syncMembersLocked(procs *proc.Table) error {
 	if p.hierarchy != nil {
 		snap = p.hierarchy.Snapshot()
 	}
+	// desired holds every member of a monitored group; order lists them once
+	// each in group order, the order joiners are attached in.
 	desired := make(map[int]bool)
-	for t := range p.monitored {
+	var order []int
+	want := func(pid int) {
+		if !desired[pid] {
+			desired[pid] = true
+			order = append(order, pid)
+		}
+	}
+	for _, t := range p.groups {
 		switch t.Kind {
 		case target.KindCgroup:
 			for _, pid := range snap.Recursive(t.Path) {
-				desired[pid] = true
+				want(pid)
 			}
 		case target.KindVM:
 			def := p.vms[t.Name]
 			if def.cgroupBacked() {
 				for _, pid := range snap.Recursive(def.CgroupPath) {
-					desired[pid] = true
+					want(pid)
 				}
 				continue
 			}
@@ -1208,7 +1252,7 @@ func (p *PowerAPI) syncMembersLocked(procs *proc.Table) error {
 			// monitored groups.
 			for _, pid := range def.PIDs {
 				if alive(pid) {
-					desired[pid] = true
+					want(pid)
 				}
 			}
 		}
@@ -1221,18 +1265,18 @@ func (p *PowerAPI) syncMembersLocked(procs *proc.Table) error {
 		// detach (mirroring the attach loop below), so a failed detach is
 		// retried by the next sync instead of leaking the PID in its source.
 		if !p.monitored[target.Process(pid)] {
-			if err := p.askDetach(target.Process(pid)); err != nil {
+			if err := p.detachShard(target.Process(pid)); err != nil {
 				return err
 			}
 			p.dropHistory(target.Process(pid))
 		}
 		delete(p.members, pid)
 	}
-	for pid := range desired {
+	for _, pid := range order {
 		if p.members[pid] {
 			continue
 		}
-		if err := p.askAttach(target.Process(pid)); err != nil {
+		if err := p.attachShard(target.Process(pid)); err != nil {
 			return err
 		}
 		p.members[pid] = true
@@ -1312,6 +1356,9 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 		p.mu.Unlock()
 		return AggregatedReport{}, err
 	}
+	// The previous round has been materialised: the slots detached since it
+	// began can be reused.
+	p.slots.recycle()
 	p.lastCollect = now
 	p.mu.Unlock()
 
@@ -1331,8 +1378,8 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 	// Claim the round's trace slot before the tick broadcast: Begin is the
 	// single round-origination point, so every stage's stamp finds the slot.
 	p.tracer.Begin(now)
-	if delivered := p.sensors.Broadcast(tickRequest{Timestamp: now, Window: window}); delivered < p.shards {
-		return AggregatedReport{}, fmt.Errorf("core: tick reached %d of %d sensor shards: %w", delivered, p.shards, actor.ErrStopped)
+	if delivered := p.sensors.Broadcast(tickRequest{Timestamp: now, Window: window}); delivered < len(p.sensorShards) {
+		return AggregatedReport{}, fmt.Errorf("core: tick reached %d of %d sensor shards: %w", delivered, len(p.sensorShards), actor.ErrStopped)
 	}
 	select {
 	case report := <-waiter:

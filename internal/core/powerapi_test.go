@@ -83,32 +83,45 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestAttachValidation(t *testing.T) {
-	m := newTestMachine(t)
-	api := newTestAPI(t, m)
-	if err := api.Attach(424242); err == nil {
-		t.Fatal("attaching an unknown pid should fail")
-	}
-	gen, _ := workload.CPUStress(0.5, 0)
-	p, _ := m.Spawn(gen)
-	if err := api.Attach(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	// Attaching twice is idempotent.
-	if err := api.Attach(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	got := api.Monitored()
-	if len(got) != 1 || got[0] != p.PID() {
-		t.Fatalf("Monitored = %v", got)
-	}
-	if err := api.Detach(p.PID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := api.Detach(p.PID()); err == nil {
-		t.Fatal("detaching twice should fail")
-	}
-	if len(api.Monitored()) != 0 {
-		t.Fatal("Monitored should be empty after detach")
+	for _, shards := range []int{1, 4} {
+		m := newTestMachine(t)
+		api, err := New(m, testModel(), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(api.Shutdown)
+		// An unknown PID fails at the call and gives its slot back.
+		if err := api.Attach(424242); err == nil {
+			t.Fatalf("%d shards: attaching an unknown pid should fail", shards)
+		}
+		if st := api.Stats(); st.SlotsLive != 0 || st.SlotsCapacity != 0 {
+			t.Fatalf("%d shards: failed attach left slots live=%d capacity=%d", shards, st.SlotsLive, st.SlotsCapacity)
+		}
+		gen, _ := workload.CPUStress(0.5, 0)
+		p, _ := m.Spawn(gen)
+		if err := api.Attach(p.PID()); err != nil {
+			t.Fatal(err)
+		}
+		// Attaching twice is idempotent.
+		if err := api.Attach(p.PID()); err != nil {
+			t.Fatal(err)
+		}
+		got := api.Monitored()
+		if len(got) != 1 || got[0] != p.PID() {
+			t.Fatalf("%d shards: Monitored = %v", shards, got)
+		}
+		if live := api.Stats().SlotsLive; live != 1 {
+			t.Fatalf("%d shards: slots_live = %d, want 1", shards, live)
+		}
+		if err := api.Detach(p.PID()); err != nil {
+			t.Fatal(err)
+		}
+		if err := api.Detach(p.PID()); err == nil {
+			t.Fatalf("%d shards: detaching twice should fail", shards)
+		}
+		if len(api.Monitored()) != 0 {
+			t.Fatalf("%d shards: Monitored should be empty after detach", shards)
+		}
 	}
 }
 

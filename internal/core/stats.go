@@ -81,7 +81,7 @@ func (p *PowerAPI) Stats() MonitorStats {
 		outstanding = gets - puts
 	}
 	stats := MonitorStats{
-		Shards:        p.shards,
+		Shards:        p.Shards(),
 		SourceMode:    p.mode.String(),
 		Errors:        p.errCount.Load(),
 		PendingRounds: p.tracer.PendingRounds(),

@@ -28,7 +28,7 @@ type HPC struct {
 	registry *hpc.Registry
 	events   []hpc.Event
 	entries  []hpcEntry
-	index    map[target.Target]int // target -> entries position
+	index    map[int]int // PID -> entries position
 	// pids mirrors entries (pids[i] is entries[i].target.PID) and cur is the
 	// ReadVecs scratch of the same length; both are kept in step by Add and
 	// Remove so Sample never resizes them.
@@ -59,7 +59,7 @@ func NewHPC(m *machine.Machine, events []hpc.Event) (*HPC, error) {
 		machine:  m,
 		registry: m.Registry(),
 		events:   append([]hpc.Event(nil), events...),
-		index:    make(map[target.Target]int),
+		index:    make(map[int]int),
 	}, nil
 }
 
@@ -90,7 +90,7 @@ func (s *HPC) Add(t target.Target) error {
 	if t.Kind != target.KindProcess {
 		return fmt.Errorf("source: hpc source cannot sample %v targets", t.Kind)
 	}
-	if _, exists := s.index[t]; exists {
+	if _, exists := s.index[t.PID]; exists {
 		return nil
 	}
 	if _, err := s.machine.Processes().Get(t.PID); err != nil {
@@ -98,7 +98,7 @@ func (s *HPC) Add(t target.Target) error {
 	}
 	var base [1]hpc.CountsVec
 	s.registry.ReadVecs([]int{t.PID}, hpc.AllCPUs, base[:])
-	s.index[t] = len(s.entries)
+	s.index[t.PID] = len(s.entries)
 	s.entries = append(s.entries, hpcEntry{target: t, base: base[0]})
 	s.pids = append(s.pids, t.PID)
 	s.cur = append(s.cur, hpc.CountsVec{})
@@ -111,21 +111,21 @@ func (s *HPC) Remove(t target.Target) error {
 	if s.closed {
 		return errors.New("source: hpc source is closed")
 	}
-	pos, exists := s.index[t]
-	if !exists {
+	pos, exists := s.index[t.PID]
+	if !exists || t.Kind != target.KindProcess {
 		return fmt.Errorf("source: detach: %v is not monitored", t)
 	}
 	last := len(s.entries) - 1
 	if pos != last {
 		s.entries[pos] = s.entries[last]
 		s.pids[pos] = s.pids[last]
-		s.index[s.entries[pos].target] = pos
+		s.index[s.pids[pos]] = pos
 	}
 	s.entries[last] = hpcEntry{}
 	s.entries = s.entries[:last]
 	s.pids = s.pids[:last]
 	s.cur = s.cur[:last]
-	delete(s.index, t)
+	delete(s.index, t.PID)
 	return nil
 }
 

@@ -142,7 +142,9 @@ type Source interface {
 
 // Dynamic is implemented by attribution sources whose target set can change
 // after Open, which is how the pipeline serves attach/detach without
-// reopening the backend.
+// reopening the backend. The pipeline calls Add and Remove on the attaching
+// goroutine, serialised with Sample by its shard's lock, so they must not call
+// back into the pipeline.
 type Dynamic interface {
 	Source
 	// Add starts sampling a target. Adding a target twice is idempotent.
